@@ -26,10 +26,10 @@
  * `--shard-minutes=10`.
  *
  * Runs of 12 h or longer coarsen the power-profiler sampling period from
- * 100 ms to 10 s so a week-long fleet's TimeSeries memory stays bounded;
- * they also switch the glance script to an hour-granular diurnal cycle
- * (cadence follows the device's phase-shifted local time of day) instead
- * of a fixed cadence.
+ * 100 ms to 10 s so a week-long fleet's TimeSeries memory stays bounded.
+ * They also add an hour-granular diurnal glance cycle (cadence follows
+ * the device's phase-shifted local time of day) on top of the cell's
+ * fixed 10-minute glance script, which keeps running.
  *
  * Every device runs with a MetricRegistry installed; per-device metric
  * rollups ride in the JSON artifact (stdout keeps the aggregate table);
@@ -43,7 +43,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -93,63 +92,6 @@ parseValue(const char *text, const char *flag, long lo, long hi)
     return v;
 }
 
-/** Glance cadence for local hour-of-day @p local (0..23): daytime
- *  phases glance often with long looks, nighttime rarely and briefly. */
-void
-glanceCadence(int local, long &intervalSec, long &lengthSec)
-{
-    bool day = local >= 7 && local < 23;
-    intervalSec = day ? 30 + 10 * (local % 5)   // 30..70 s
-                      : 180 + 60 * (local % 4); // 3..6 min
-    lengthSec = day ? 8 + local % 7 : 3;        // 8..14 s vs 3 s
-}
-
-/**
- * Per-device diurnal glance cadence for short runs. Device i is pinned
- * to a "time of day" phase; deterministic in i — no wall clock.
- */
-void
-diurnalGlances(harness::RunSpec &spec, int i)
-{
-    long interval = 0;
-    long length = 0;
-    glanceCadence(i % 24, interval, length);
-    spec.userGlances = true;
-    spec.glanceInterval = sim::Time::fromSeconds(
-        static_cast<double>(interval));
-    spec.glanceLength = sim::Time::fromSeconds(static_cast<double>(length));
-}
-
-/**
- * Hour-granular diurnal cycle for day/week-long runs: the glance script
- * is re-tuned every simulated hour to the cadence of the device's local
- * time of day (virtual hour + per-device phase shift, mod 24). Installed
- * as a postStart hook so it composes with sharded execution — all state
- * lives in simulator events, which migrate with the device.
- */
-void
-installWeekScript(harness::Device &d, int phase)
-{
-    struct Cycle {
-        sim::PeriodicHandle glances;
-        sim::PeriodicHandle retune;
-    };
-    auto cycle = std::make_shared<Cycle>();
-    auto tune = [&d, cycle, phase] {
-        int hour =
-            static_cast<int>(d.simulator().now().seconds() / 3600.0);
-        long interval = 0;
-        long length = 0;
-        glanceCadence((phase + hour) % 24, interval, length);
-        cycle->glances = harness::installGlanceScript(
-            d, sim::Time::fromSeconds(static_cast<double>(interval)),
-            sim::Time::fromSeconds(static_cast<double>(length)));
-    };
-    tune();
-    cycle->retune = d.simulator().schedulePeriodicScoped(
-        sim::Time::fromMinutes(60.0), tune);
-}
-
 struct ModeAgg {
     double powerSum = 0.0;
     double eventsSum = 0.0;
@@ -183,7 +125,7 @@ main(int argc, char **argv)
             tracePath = argv[i] + 8;
     }
     // Long runs: coarsen profiler sampling (bounded TimeSeries memory
-    // over a week) and switch to the hour-granular diurnal cycle.
+    // over a week) and add the hour-granular diurnal glance cycle.
     const bool longRun = minutes >= 12 * 60;
 
     const auto &corpus = apps::table5Specs();
@@ -207,10 +149,13 @@ main(int argc, char **argv)
             spec.config.profilerPeriod = sim::Time::fromSeconds(10.0);
             int phase = static_cast<int>(i) % 24;
             spec.postStart.push_back([phase](harness::Device &d) {
-                installWeekScript(d, phase);
+                harness::installDiurnalGlanceCycle(d, phase);
             });
         } else {
-            diurnalGlances(spec, static_cast<int>(i));
+            spec.userGlances = true;
+            harness::diurnalGlanceCadence(static_cast<int>(i) % 24,
+                                          spec.glanceInterval,
+                                          spec.glanceLength);
         }
         if (shardMinutes > 0) {
             spec.shards = static_cast<int>((minutes + shardMinutes - 1) /

@@ -1,5 +1,7 @@
 #include "harness/experiment.h"
 
+#include <memory>
+
 #include "apps/registry.h"
 
 namespace leaseos::harness {
@@ -10,6 +12,38 @@ installGlanceScript(Device &device, const MitigationRunOptions &opt)
     if (!opt.userGlances) return {};
     return installGlanceScript(device, opt.glanceInterval,
                                opt.glanceLength);
+}
+
+void
+diurnalGlanceCadence(int localHour, sim::Time &interval, sim::Time &length)
+{
+    bool day = localHour >= 7 && localHour < 23;
+    long intervalSec = day ? 30 + 10 * (localHour % 5)   // 30..70 s
+                           : 180 + 60 * (localHour % 4); // 3..6 min
+    long lengthSec = day ? 8 + localHour % 7 : 3;        // 8..14 s vs 3 s
+    interval = sim::Time::fromSeconds(static_cast<double>(intervalSec));
+    length = sim::Time::fromSeconds(static_cast<double>(lengthSec));
+}
+
+void
+installDiurnalGlanceCycle(Device &device, int phase)
+{
+    struct Cycle {
+        sim::PeriodicHandle glances;
+        sim::PeriodicHandle retune;
+    };
+    auto cycle = std::make_shared<Cycle>();
+    auto tune = [&device, cycle, phase] {
+        int hour = static_cast<int>(device.simulator().now().seconds() /
+                                    3600.0);
+        sim::Time interval;
+        sim::Time length;
+        diurnalGlanceCadence((phase + hour) % 24, interval, length);
+        cycle->glances = installGlanceScript(device, interval, length);
+    };
+    tune();
+    cycle->retune = device.simulator().schedulePeriodicScoped(
+        sim::Time::fromMinutes(60.0), tune);
 }
 
 RunSpec

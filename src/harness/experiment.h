@@ -46,6 +46,24 @@ struct MitigationRunOptions {
 installGlanceScript(Device &device, const MitigationRunOptions &opt);
 
 /**
+ * Glance cadence for local hour-of-day @p localHour (0..23): daytime
+ * phases glance every 30–70 s for 8–14 s, nighttime every 3–6 min for
+ * 3 s.
+ */
+void diurnalGlanceCadence(int localHour, sim::Time &interval,
+                          sim::Time &length);
+
+/**
+ * Hour-granular diurnal glance cycle for day/week-long runs. Every
+ * simulated hour the cycle re-installs a glance script tuned to the
+ * device's local time of day (virtual hour + @p phase, mod 24). It runs
+ * on top of any fixed-cadence script the RunSpec installs. All state
+ * lives in simulator events, so the cycle migrates with the device
+ * across sharded time slices; install it from a postStart hook.
+ */
+void installDiurnalGlanceCycle(Device &device, int phase);
+
+/**
  * Build the RunSpec for one buggy-app × mitigation-mode Table 5 cell;
  * execute with runScenario() or feed lists of them to a ParallelRunner.
  */

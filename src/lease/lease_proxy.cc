@@ -50,6 +50,7 @@ LeaseProxy::onDestroyed(os::TokenId token, Uid uid)
     if (id != kInvalidLeaseId) {
         manager_->remove(id);
         leaseByToken_.erase(token);
+        forgetLease(id);
     }
 }
 

@@ -73,6 +73,13 @@ class LeaseProxy : public os::ResourceListener
     /** Proxy-local cache of kernel object → lease descriptor (§4.4). */
     LeaseId leaseFor(os::TokenId token) const;
 
+    /**
+     * Lease @p id will never start or end another term: drop whatever
+     * per-lease state the proxy keeps. onDestroyed calls it after the
+     * manager has removed the lease.
+     */
+    virtual void forgetLease(LeaseId id) { (void)id; }
+
     LeaseManagerService *manager_ = nullptr;
     std::map<os::TokenId, LeaseId> leaseByToken_;
 

@@ -36,6 +36,8 @@ class AudioLeaseProxy : public LeaseProxy
     LeaseStat collectStat(const Lease &lease) override;
 
   private:
+    void forgetLease(LeaseId id) override { snapshots_.erase(id); }
+
     struct Snapshot {
         double openSeconds = 0.0;
         double playingSeconds = 0.0;

@@ -32,6 +32,8 @@ class BluetoothLeaseProxy : public LeaseProxy
     LeaseStat collectStat(const Lease &lease) override;
 
   private:
+    void forgetLease(LeaseId id) override { snapshots_.erase(id); }
+
     struct Snapshot {
         double scanSeconds = 0.0;
         double activitySeconds = 0.0;

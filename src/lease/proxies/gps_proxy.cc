@@ -23,6 +23,13 @@ GpsLeaseProxy::onRenew(const Lease &lease)
     lms_.restore(lease.token);
 }
 
+void
+GpsLeaseProxy::onReleased(os::TokenId token, Uid uid)
+{
+    LeaseProxy::onReleased(token, uid);
+    forgetLease(leaseFor(token));
+}
+
 bool
 GpsLeaseProxy::resourceHeld(const Lease &lease)
 {

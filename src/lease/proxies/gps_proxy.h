@@ -12,6 +12,7 @@
  * utility.
  */
 
+#include <cstddef>
 #include <map>
 
 #include "lease/lease_proxy.h"
@@ -35,7 +36,18 @@ class GpsLeaseProxy : public LeaseProxy
     void beginTerm(const Lease &lease) override;
     LeaseStat collectStat(const Lease &lease) override;
 
+    /**
+     * Also drops the lease's snapshot: a removed request is never
+     * re-acquired under its token, so no later term reads it.
+     */
+    void onReleased(os::TokenId token, Uid uid) override;
+
+    /** Leases whose term-start counters the proxy holds. */
+    std::size_t snapshotCount() const { return snapshots_.size(); }
+
   private:
+    void forgetLease(LeaseId id) override { snapshots_.erase(id); }
+
     struct Snapshot {
         double requestSeconds = 0.0;
         double noFixSeconds = 0.0;

@@ -41,6 +41,8 @@ class ScreenLeaseProxy : public LeaseProxy
     void onDestroyed(os::TokenId token, Uid uid) override;
 
   private:
+    void forgetLease(LeaseId id) override { snapshots_.erase(id); }
+
     struct Snapshot {
         double enabledSeconds = 0.0;
         double activitySeconds = 0.0;

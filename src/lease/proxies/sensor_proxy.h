@@ -34,6 +34,8 @@ class SensorLeaseProxy : public LeaseProxy
     LeaseStat collectStat(const Lease &lease) override;
 
   private:
+    void forgetLease(LeaseId id) override { snapshots_.erase(id); }
+
     struct Snapshot {
         double registeredSeconds = 0.0;
         double activitySeconds = 0.0;

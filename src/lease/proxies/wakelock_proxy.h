@@ -45,6 +45,8 @@ class WakelockLeaseProxy : public LeaseProxy
     void onDestroyed(os::TokenId token, Uid uid) override;
 
   private:
+    void forgetLease(LeaseId id) override { snapshots_.erase(id); }
+
     struct Snapshot {
         double enabledSeconds = 0.0;
         double cpuSeconds = 0.0;

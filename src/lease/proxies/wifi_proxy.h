@@ -35,6 +35,8 @@ class WifiLeaseProxy : public LeaseProxy
     LeaseStat collectStat(const Lease &lease) override;
 
   private:
+    void forgetLease(LeaseId id) override { snapshots_.erase(id); }
+
     struct Snapshot {
         double enabledSeconds = 0.0;
         double activeSeconds = 0.0;

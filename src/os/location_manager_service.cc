@@ -44,8 +44,7 @@ LocationManagerService::apply()
 {
     std::set<Uid> owners;
     for (auto &[token, req] : requests_) {
-        bool enabled =
-            req.active && !req.suspended && allowedByFilter(req.uid);
+        bool enabled = !req.suspended && allowedByFilter(req.uid);
         if (enabled && !req.enabled) {
             req.enabled = true;
             scheduleTick(token);
@@ -103,7 +102,6 @@ LocationManagerService::requestLocationUpdates(Uid uid, sim::Time interval,
     req.uid = uid;
     req.interval = interval;
     req.listener = listener;
-    req.active = true;
     requests_.emplace(token, req);
     ++requestCount_[uid];
     apply();
@@ -116,11 +114,12 @@ void
 LocationManagerService::removeUpdates(TokenId token)
 {
     auto it = requests_.find(token);
-    if (it == requests_.end() || !it->second.active) return;
+    if (it == requests_.end()) return;
     Uid uid = it->second.uid;
     chargeIpc(uid, kBinderIpcLatency);
     advance();
-    it->second.active = false;
+    removed_.emplace(token, Removed{uid, it->second.suspended});
+    requests_.erase(it);
     apply();
     for (auto *l : listeners_) l->onReleased(token, uid);
 }
@@ -129,10 +128,14 @@ void
 LocationManagerService::destroy(TokenId token)
 {
     auto it = requests_.find(token);
-    if (it == requests_.end()) return;
+    auto gone = removed_.find(token);
+    if (it == requests_.end() && gone == removed_.end()) return;
     advance();
-    Uid uid = it->second.uid;
-    requests_.erase(it);
+    Uid uid = ownerOf(token);
+    if (it != requests_.end())
+        requests_.erase(it);
+    else
+        removed_.erase(gone);
     tokens_.retire(token);
     apply();
     for (auto *l : listeners_) l->onDestroyed(token, uid);
@@ -141,35 +144,46 @@ LocationManagerService::destroy(TokenId token)
 bool
 LocationManagerService::isActive(TokenId token) const
 {
-    auto it = requests_.find(token);
-    return it != requests_.end() && it->second.active;
+    return requests_.count(token) != 0;
+}
+
+bool *
+LocationManagerService::suspendedFlag(TokenId token)
+{
+    if (auto it = requests_.find(token); it != requests_.end())
+        return &it->second.suspended;
+    if (auto it = removed_.find(token); it != removed_.end())
+        return &it->second.suspended;
+    return nullptr;
 }
 
 void
 LocationManagerService::suspend(TokenId token)
 {
-    auto it = requests_.find(token);
-    if (it == requests_.end() || it->second.suspended) return;
+    bool *suspended = suspendedFlag(token);
+    if (!suspended || *suspended) return;
     advance();
-    it->second.suspended = true;
+    *suspended = true;
     apply();
 }
 
 void
 LocationManagerService::restore(TokenId token)
 {
-    auto it = requests_.find(token);
-    if (it == requests_.end() || !it->second.suspended) return;
+    bool *suspended = suspendedFlag(token);
+    if (!suspended || !*suspended) return;
     advance();
-    it->second.suspended = false;
+    *suspended = false;
     apply();
 }
 
 bool
 LocationManagerService::isSuspended(TokenId token) const
 {
-    auto it = requests_.find(token);
-    return it != requests_.end() && it->second.suspended;
+    if (auto it = requests_.find(token); it != requests_.end())
+        return it->second.suspended;
+    auto it = removed_.find(token);
+    return it != removed_.end() && it->second.suspended;
 }
 
 bool
@@ -240,8 +254,10 @@ LocationManagerService::distanceMeters(Uid uid) const
 Uid
 LocationManagerService::ownerOf(TokenId token) const
 {
-    auto it = requests_.find(token);
-    return it == requests_.end() ? kInvalidUid : it->second.uid;
+    if (auto it = requests_.find(token); it != requests_.end())
+        return it->second.uid;
+    auto it = removed_.find(token);
+    return it == removed_.end() ? kInvalidUid : it->second.uid;
 }
 
 std::vector<TokenId>
@@ -249,7 +265,7 @@ LocationManagerService::activeRequests(Uid uid) const
 {
     std::vector<TokenId> active;
     for (const auto &[token, request] : requests_)
-        if (request.uid == uid && request.active) active.push_back(token);
+        if (request.uid == uid) active.push_back(token);
     return active;
 }
 

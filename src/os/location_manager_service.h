@@ -14,6 +14,7 @@
  * moved for the generic GPS utility (§3.3).
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -37,6 +38,20 @@ class LocationListener
 
 /**
  * GPS request management with lease/throttle interposition hooks.
+ *
+ * A request is *outstanding* from requestLocationUpdates() until
+ * removeUpdates(); only outstanding requests drive the GPS, accrue
+ * request time and receive fixes, and advance()/apply() scan only them.
+ * removeUpdates() moves the request into a slim table of *removed*
+ * tokens ({uid, suspended}) that exists only to answer isSuspended and
+ * ownerOf and to take suspend, restore and destroy, which still
+ * re-publish the GPS owners exactly as for an outstanding request. Retry apps request again on every cycle
+ * and never destroy the old request, so the removed table grows with
+ * virtual time while the scanned set stays at the outstanding count.
+ *
+ * Only destroy() retires a token. A removed request's lease therefore
+ * goes Inactive at its next term end rather than Dead, unlike Android,
+ * where removing the listener is the kernel object's death.
  */
 class LocationManagerService : public Service
 {
@@ -97,18 +112,30 @@ class LocationManagerService : public Service
     /** Update requests @p uid still has outstanding (not removed). */
     std::vector<TokenId> activeRequests(Uid uid) const;
 
+    /** Requests advance()/apply() scan: outstanding ones, all apps. */
+    std::size_t outstandingCount() const { return requests_.size(); }
+
   private:
+    /** An outstanding request. */
     struct Request {
         Uid uid = kInvalidUid;
         sim::Time interval;
         LocationListener *listener = nullptr;
-        bool active = false;
         bool suspended = false;
         bool enabled = false;
         bool tickScheduled = false;
         bool hasLastPoint = false;
         GeoPoint lastPoint;
     };
+
+    /** A removed, not yet destroyed request: never enabled again. */
+    struct Removed {
+        Uid uid = kInvalidUid;
+        bool suspended = false;
+    };
+
+    /** The suspended flag of @p token in either table, or nullptr. */
+    bool *suspendedFlag(TokenId token);
 
     void advance();
     void apply();
@@ -119,7 +146,8 @@ class LocationManagerService : public Service
     power::GpsModel &gps_;
     TokenAllocator &tokens_;
     PositionFn positionFn_;
-    std::map<TokenId, Request> requests_;
+    std::map<TokenId, Request> requests_; // outstanding
+    std::map<TokenId, Removed> removed_;
     std::function<bool(Uid)> filter_;
     std::vector<ResourceListener *> listeners_;
 

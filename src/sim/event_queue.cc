@@ -7,6 +7,22 @@
 
 namespace leaseos::sim {
 
+EventQueue::~EventQueue()
+{
+    // A pending callback may own the PeriodicHandle of its own repetition
+    // (a script that re-tunes itself keeps its state alive that way), and
+    // destroying the handle cancels into this queue, possibly the very
+    // slot being destroyed. Release callbacks one at a time while the
+    // queue is still whole, marking each slot dead first so a re-entrant
+    // cancel of it is a no-op.
+    for (Slot &slot : slots_) {
+        if (!slot.live) continue;
+        slot.live = false;
+        --liveCount_;
+        Callback dying = std::move(slot.cb);
+    }
+}
+
 void
 EventQueue::saveState(CheckpointWriter &) const
 {

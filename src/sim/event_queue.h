@@ -55,6 +55,7 @@ class EventQueue
     using Callback = InlineCallback;
 
     EventQueue() = default;
+    ~EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 

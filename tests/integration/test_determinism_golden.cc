@@ -5,8 +5,10 @@
  * The JSON documents under tests/golden/ were captured with the original
  * std::priority_queue + std::unordered_set EventQueue. The slot-based
  * intrusive-heap queue (and any future core change) must reproduce them
- * byte for byte: one full Table-5 mitigation cell and one multi-spec
- * ParallelRunner sweep, serialised at full precision.
+ * byte for byte: one full Table-5 mitigation cell, one multi-spec
+ * ParallelRunner sweep, and a 96-hour sweep of the GPS retry apps (whose
+ * removed-but-not-destroyed location requests pile up over long
+ * horizons), serialised at full precision.
  *
  * Regenerating (only when an *intended* behaviour change lands):
  *
@@ -38,9 +40,12 @@ namespace {
 
 using ResultValue = ResultSink::Value;
 
-/** Serialise every RunResult field at full precision, stable key order. */
+/**
+ * Serialise every RunResult field, stable key order; doubles get
+ * @p decimals fractional digits.
+ */
 ResultSink::Row
-resultRow(const RunResult &r)
+resultRow(const RunResult &r, int decimals = 9)
 {
     ResultSink::Row row;
     row.emplace_back("name", ResultValue::str(r.name));
@@ -49,12 +54,12 @@ resultRow(const RunResult &r)
                          static_cast<std::int64_t>(r.specIndex)));
     row.emplace_back("seed", ResultValue::count(
                                  static_cast<std::int64_t>(r.seed)));
-    row.emplace_back("appPowerMw", ResultValue::num(r.appPowerMw, 9));
+    row.emplace_back("appPowerMw", ResultValue::num(r.appPowerMw, decimals));
     row.emplace_back("systemPowerMw",
-                     ResultValue::num(r.systemPowerMw, 9));
+                     ResultValue::num(r.systemPowerMw, decimals));
     for (std::size_t i = 0; i < r.perAppPowerMw.size(); ++i)
         row.emplace_back("app" + std::to_string(i) + "PowerMw",
-                         ResultValue::num(r.perAppPowerMw[i], 9));
+                         ResultValue::num(r.perAppPowerMw[i], decimals));
     row.emplace_back("deferrals",
                      ResultValue::count(
                          static_cast<std::int64_t>(r.deferrals)));
@@ -70,7 +75,7 @@ resultRow(const RunResult &r)
                          ResultValue::count(
                              static_cast<std::int64_t>(count)));
     for (const auto &[name, value] : r.probes)
-        row.emplace_back("probe:" + name, ResultValue::num(value, 9));
+        row.emplace_back("probe:" + name, ResultValue::num(value, decimals));
     return row;
 }
 
@@ -147,6 +152,48 @@ TEST(DeterminismGoldenTest, RunnerSweepByteIdentical)
     for (const auto &r : results) json.addRow(resultRow(r));
     json.finish();
     checkAgainstGolden("runner_sweep.json", json.document());
+}
+
+TEST(DeterminismGoldenTest, GpsRetryAppsLongHorizonByteIdentical)
+{
+    // The GPS retry apps request again on every cycle without destroying
+    // the old request, so by 96 h each device has thousands of removed
+    // requests (and, under LeaseOS, their leases). Long-run fleet device
+    // construction: 10 s profiler, fixed glances plus the diurnal cycle.
+    const MitigationMode modes[] = {MitigationMode::None,
+                                    MitigationMode::LeaseOS};
+    MitigationRunOptions opt;
+    opt.duration = sim::Time::fromHours(96.0);
+
+    std::vector<RunSpec> specs;
+    for (const char *key : {"betterweather", "where", "mozstumbler"})
+        for (MitigationMode mode : modes) {
+            RunSpec spec =
+                mitigationCellSpec(apps::buggySpec(key), mode, opt);
+            spec.config.profilerPeriod = sim::Time::fromSeconds(10.0);
+            int phase = static_cast<int>(specs.size());
+            spec.postStart.push_back([phase](Device &d) {
+                installDiurnalGlanceCycle(d, phase);
+            });
+            specs.push_back(std::move(spec));
+        }
+
+    RunnerOptions options;
+    options.jobs = 4;
+    options.baseSeed = 0x96b0ULL;
+    ParallelRunner runner(options);
+    auto results = runner.run(specs);
+
+    JsonSink json;
+    json.begin("golden_gps_retry_96h",
+               "betterweather/where/mozstumbler x none/leaseos, 96 h, "
+               "10 s profiler, diurnal glances, jobs=4");
+    // 17 decimals: every double is printed to its last bit, because a
+    // misplaced split of the GPS energy integration moves only the
+    // low-order digits of the power figures.
+    for (const auto &r : results) json.addRow(resultRow(r, 17));
+    json.finish();
+    checkAgainstGolden("gps_retry_96h.json", json.document());
 }
 
 } // namespace

@@ -231,6 +231,31 @@ TEST_F(ProxyTest, GpsNavigationWithMovementStaysActive)
     EXPECT_EQ(mgr.lease(id)->state, LeaseState::Active);
 }
 
+TEST_F(ProxyTest, GpsSnapshotsStayBoundedUnderRequestChurn)
+{
+    // Retry-app shape: every cycle creates a new request (and lease) and
+    // removes it without destroying it. The proxy must not keep a term
+    // snapshot per abandoned lease.
+    gps.setSignalGood(false);
+    auto &lms = server.locationManager();
+    auto &proxy = leaseos.gpsProxy();
+    for (int i = 0; i < 1000; ++i) {
+        os::TokenId t = lms.requestLocationUpdates(kApp, 10_s, nullptr);
+        EXPECT_EQ(proxy.snapshotCount(), 1u);
+        sim.runFor(30_s);
+        lms.removeUpdates(t);
+        sim.runFor(30_s);
+    }
+    EXPECT_EQ(proxy.snapshotCount(), 0u);
+    EXPECT_EQ(mgr.totalCreated(), 1000u);
+
+    // Destroying a request drops its snapshot through the base-class hook.
+    os::TokenId t = lms.requestLocationUpdates(kApp, 10_s, nullptr);
+    EXPECT_EQ(proxy.snapshotCount(), 1u);
+    lms.destroy(t);
+    EXPECT_EQ(proxy.snapshotCount(), 0u);
+}
+
 TEST_F(ProxyTest, ScreenLockWithoutViewerIsLongHolding)
 {
     auto &pms = server.powerManager();

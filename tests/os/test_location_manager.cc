@@ -1,7 +1,11 @@
 /**
  * @file
- * Unit tests for LocationManagerService: fixes, suspension, metrics.
+ * Unit tests for LocationManagerService: fixes, suspension, metrics,
+ * and removed-but-not-destroyed requests.
  */
+
+#include <utility>
+#include <vector>
 
 #include "os_fixture.h"
 
@@ -148,6 +152,120 @@ TEST_F(LocationManagerTest, RequestCountTracksCalls)
     lms.removeUpdates(a);
     lms.requestLocationUpdates(kApp, 10_s, &listener);
     EXPECT_EQ(lms.requestCount(kApp), 2u);
+}
+
+// ---- Removed (not destroyed) requests ---------------------------------------
+
+struct LifecycleRecorder : ResourceListener {
+    std::vector<std::pair<TokenId, Uid>> destroyed;
+
+    void
+    onDestroyed(TokenId token, Uid uid) override
+    {
+        destroyed.emplace_back(token, uid);
+    }
+};
+
+TEST_F(LocationManagerTest, ChurnScansOnlyOutstandingRequests)
+{
+    // The retry-app shape: request, give up, request again, never destroy.
+    TokenId keeper = lms.requestLocationUpdates(kApp2, 10_s, &listener);
+    TokenId last = kInvalidToken;
+    for (int i = 0; i < 10000; ++i) {
+        last = lms.requestLocationUpdates(kApp, 10_s, &listener);
+        sim.runFor(1_s);
+        lms.removeUpdates(last);
+    }
+    EXPECT_EQ(lms.outstandingCount(), 1u);
+    TokenId fresh = lms.requestLocationUpdates(kApp, 10_s, &listener);
+    EXPECT_EQ(lms.outstandingCount(), 2u);
+    EXPECT_EQ(lms.activeRequests(kApp), std::vector<TokenId>{fresh});
+    EXPECT_EQ(lms.activeRequests(kApp2), std::vector<TokenId>{keeper});
+    EXPECT_FALSE(lms.isActive(last));
+    EXPECT_EQ(lms.requestCount(kApp), 10001u);
+}
+
+TEST_F(LocationManagerTest, RestoreAfterRemoveClearsSuspensionAndRepublishes)
+{
+    int scans = 0;
+    lms.setGlobalFilter([&scans](Uid) {
+        ++scans;
+        return true;
+    });
+    lms.requestLocationUpdates(kApp2, 10_s, &listener);
+    TokenId t = lms.requestLocationUpdates(kApp, 10_s, &listener);
+    lms.suspend(t);
+    lms.removeUpdates(t);
+    EXPECT_TRUE(lms.isSuspended(t));
+
+    // A lease proxy restores the token when the deferral ends, even though
+    // the app removed the request meanwhile: the owner set is re-published
+    // (one filter call per outstanding request) without re-enabling it.
+    scans = 0;
+    lms.restore(t);
+    EXPECT_FALSE(lms.isSuspended(t));
+    EXPECT_EQ(scans, 1);
+    EXPECT_FALSE(lms.isEnabled(t));
+    EXPECT_FALSE(lms.isActive(t));
+    lms.restore(t); // already restored: no-op
+    EXPECT_EQ(scans, 1);
+    lms.suspend(t); // suspending a removed token re-publishes too
+    EXPECT_TRUE(lms.isSuspended(t));
+    EXPECT_EQ(scans, 2);
+    EXPECT_NE(gps.state(), power::GpsModel::State::Off); // kApp2's request
+}
+
+TEST_F(LocationManagerTest, RefilterNeverReenablesRemovedRequest)
+{
+    TokenId t = lms.requestLocationUpdates(kApp, 10_s, &listener);
+    sim.runFor(30_s);
+    lms.removeUpdates(t);
+    double requested = lms.requestSeconds(kApp);
+    int fixes = listener.fixes;
+    lms.setGlobalFilter([](Uid) { return true; });
+    lms.refilter();
+    EXPECT_FALSE(lms.isEnabled(t));
+    EXPECT_EQ(gps.state(), power::GpsModel::State::Off);
+    sim.runFor(60_s);
+    EXPECT_EQ(listener.fixes, fixes);
+    EXPECT_DOUBLE_EQ(lms.requestSeconds(kApp), requested);
+}
+
+TEST_F(LocationManagerTest, DestroyRemovedRequestRetiresToken)
+{
+    LifecycleRecorder recorder;
+    lms.addListener(&recorder);
+    TokenId t = lms.requestLocationUpdates(kApp2, 10_s, &listener);
+    lms.removeUpdates(t);
+    EXPECT_TRUE(server.tokens().live(t));
+    lms.destroy(t);
+    ASSERT_EQ(recorder.destroyed.size(), 1u);
+    EXPECT_EQ(recorder.destroyed[0], std::make_pair(t, kApp2));
+    EXPECT_FALSE(server.tokens().live(t));
+    EXPECT_EQ(lms.ownerOf(t), kInvalidUid);
+    lms.destroy(t); // already gone: no second notification
+    EXPECT_EQ(recorder.destroyed.size(), 1u);
+}
+
+TEST_F(LocationManagerTest, PendingTickForRemovedRequestIsNoop)
+{
+    TokenId t = lms.requestLocationUpdates(kApp, 10_s, &listener);
+    sim.runFor(25_s); // tracking; the next tick is due at 30 s
+    int fixes = listener.fixes;
+    ASSERT_GT(fixes, 0);
+    lms.removeUpdates(t);
+    sim.runFor(10_s); // the stale tick fires here
+    EXPECT_EQ(listener.fixes, fixes);
+    EXPECT_EQ(lms.fixCount(kApp), static_cast<std::uint64_t>(fixes));
+    EXPECT_EQ(sim.pendingEvents(), 0u); // and schedules no successor
+}
+
+TEST_F(LocationManagerTest, OwnerOfRemovedRequest)
+{
+    TokenId t = lms.requestLocationUpdates(kApp2, 10_s, &listener);
+    lms.removeUpdates(t);
+    EXPECT_FALSE(lms.isActive(t));
+    EXPECT_EQ(lms.ownerOf(t), kApp2);
 }
 
 } // namespace

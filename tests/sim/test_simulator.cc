@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -209,6 +210,28 @@ TEST(PeriodicHandleTest, HandleCancelWorksAfterManyFires)
     EXPECT_EQ(count, 50);
     EXPECT_EQ(pendingAfterCancel, 0u)
         << "cancelling the handle must remove the pending occurrence";
+}
+
+TEST(PeriodicHandleTest, TeardownWithCallbackOwningItsHandle)
+{
+    // The callback keeps its own handle (and a second one) alive, so the
+    // handles die while the simulator tears its queue down and cancel
+    // into it. Under AddressSanitizer this was a use-after-free.
+    struct Script {
+        PeriodicHandle self;
+        PeriodicHandle other;
+    };
+    int fires = 0;
+    {
+        Simulator sim;
+        auto script = std::make_shared<Script>();
+        script->other = sim.schedulePeriodic(3_s, [&] { ++fires; });
+        script->self = sim.schedulePeriodic(2_s, [script, &fires] {
+            ++fires;
+        });
+        sim.run(5_s);
+    }
+    EXPECT_EQ(fires, 3);
 }
 
 TEST(SimulatorTest, ExecutedEventsCounted)
