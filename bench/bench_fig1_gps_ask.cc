@@ -35,7 +35,7 @@ main()
     harness::MetricsSampler sampler(device.simulator(), 60_s);
     Uid uid = app.uid();
     sampler.addDeltaGauge("gps_try_duration_s",
-                          [&] { return lms.requestSeconds(uid); });
+                          [&] { return lms.enabledSeconds(uid); });
     sampler.addDeltaGauge("failed_try_s",
                           [&] { return lms.noFixSeconds(uid); });
     sampler.start();

@@ -30,7 +30,7 @@ run(harness::MitigationMode mode, const char *label)
     auto &svc = device.server().audioSessions();
     std::cout << label << " (1 simulated hour):\n";
     std::cout << "  session effectively open: "
-              << svc.openSeconds(app.uid()) / 60.0 << " min, playing: "
+              << svc.enabledSeconds(app.uid()) / 60.0 << " min, playing: "
               << svc.playingSeconds(app.uid()) / 60.0 << " min\n";
     std::cout << "  CPU kept awake: " << device.cpu().awakeSeconds() / 60.0
               << " min\n";

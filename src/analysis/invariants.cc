@@ -227,30 +227,15 @@ void
 InvariantOracle::checkAppTeardown(sim::Time now, os::SystemServer &server,
                                   Uid uid)
 {
-    for (os::TokenId token : server.powerManager().heldTokens(uid)) {
-        std::ostringstream detail;
-        detail << "app uid " << uid << " stopped while wakelock token "
-               << token << " ('" << server.powerManager().tagOf(token)
-               << "') is still held";
-        report({"teardown-balance", now, lease::kInvalidLeaseId,
-                detail.str()});
-    }
-    for (os::TokenId token : server.locationManager().activeRequests(uid)) {
-        std::ostringstream detail;
-        detail << "app uid " << uid
-               << " stopped while GPS update request token " << token
-               << " is still outstanding";
-        report({"teardown-balance", now, lease::kInvalidLeaseId,
-                detail.str()});
-    }
-    for (os::TokenId token :
-         server.sensorManager().activeRegistrations(uid)) {
-        std::ostringstream detail;
-        detail << "app uid " << uid
-               << " stopped while sensor listener token " << token
-               << " is still registered";
-        report({"teardown-balance", now, lease::kInvalidLeaseId,
-                detail.str()});
+    for (os::ResourceService *service : server.resourceServices()) {
+        for (os::TokenId token : service->heldTokens(uid)) {
+            std::ostringstream detail;
+            detail << "app uid " << uid << " stopped while "
+                   << service->tokenKind() << " token " << token
+                   << " is still held";
+            report({"teardown-balance", now, lease::kInvalidLeaseId,
+                    detail.str()});
+        }
     }
 }
 

@@ -19,7 +19,8 @@
  *    energy integrals sum to the accountant's total, which bounds the
  *    battery's drained energy;
  *  - acquire/release balance at app teardown: a stopping app holds no
- *    wakelocks, GPS requests, or sensor registrations;
+ *    wakelock, Wi-Fi lock, GPS request, sensor registration, audio
+ *    session or Bluetooth scan;
  *  - deferral τ accounting: when a lease leaves DEFERRED, the seconds
  *    credited to totalDeferralSeconds equal the wall deferral time that
  *    actually elapsed.
@@ -138,7 +139,10 @@ class InvariantOracle
     void auditEnergy(sim::Time now, power::EnergyAccountant &accountant,
                      power::Battery &battery, double tolerance = 1e-6);
 
-    /** Wakelock/GPS/sensor balance when the app with @p uid stops. */
+    /**
+     * Teardown balance: the app with @p uid, stopping, holds no token of
+     * any of the six resource services.
+     */
     void checkAppTeardown(sim::Time now, os::SystemServer &server, Uid uid);
 
     // ---- Results -------------------------------------------------------

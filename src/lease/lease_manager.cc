@@ -88,7 +88,8 @@ LeaseManagerService::initMetrics()
 }
 
 void
-LeaseManagerService::noteTransition(const Lease &lease, LeaseState to)
+LeaseManagerService::noteTransition([[maybe_unused]] const Lease &lease,
+                                    LeaseState to)
 {
     if (metrics_) {
         switch (to) {

@@ -26,7 +26,7 @@
 #include "obs/metric_registry.h"
 #include "lease/lease.h"
 #include "lease/lease_policy.h"
-#include "lease/lease_proxy.h"
+#include "lease/proxies/lease_proxy.h"
 #include "lease/lease_table.h"
 #include "os/binder.h"
 #include "power/cpu_model.h"

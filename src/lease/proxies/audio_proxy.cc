@@ -1,82 +1,32 @@
 #include "lease/proxies/audio_proxy.h"
 
-#include "lease/utility/generic_utility.h"
-
 namespace leaseos::lease {
 
 AudioLeaseProxy::AudioLeaseProxy(os::AudioSessionService &audio,
                                  os::ActivityManagerService &am)
-    : LeaseProxy(ResourceType::Audio), audio_(audio), am_(am)
+    : LeaseProxy(ResourceType::Audio, audio), audio_(audio), am_(am)
 {
-    audio_.addListener(this);
 }
 
-void
-AudioLeaseProxy::onExpire(const Lease &lease)
+LeaseStat
+AudioLeaseProxy::counters(const Lease &lease)
 {
-    audio_.suspend(lease.token);
-}
-
-void
-AudioLeaseProxy::onRenew(const Lease &lease)
-{
-    audio_.restore(lease.token);
-}
-
-bool
-AudioLeaseProxy::resourceHeld(const Lease &lease)
-{
-    return audio_.isOpen(lease.token);
-}
-
-AudioLeaseProxy::Snapshot
-AudioLeaseProxy::snapshot(const Lease &lease)
-{
-    Snapshot s;
-    s.openSeconds = audio_.openSeconds(lease.uid);
-    s.playingSeconds = audio_.playingSeconds(lease.uid);
+    LeaseStat s;
+    s.holdingSeconds = audio_.enabledSeconds(lease.uid);
+    s.usageSeconds = audio_.playingSeconds(lease.uid);
     s.uiUpdates = am_.uiUpdateCount(lease.uid);
     s.interactions = am_.userInteractionCount(lease.uid);
     return s;
 }
 
-void
-AudioLeaseProxy::beginTerm(const Lease &lease)
+double
+AudioLeaseProxy::score(const LeaseStat &stat,
+                       const utility::Signals &signals) const
 {
-    snapshots_[lease.id] = snapshot(lease);
-}
-
-LeaseStat
-AudioLeaseProxy::collectStat(const Lease &lease)
-{
-    Snapshot start = snapshots_[lease.id];
-    Snapshot now = snapshot(lease);
-
-    LeaseStat stat;
-    stat.termStart = lease.termStart;
-    stat.termEnd = lease.termStart + lease.termLength;
-    stat.holdingSeconds = now.openSeconds - start.openSeconds;
-    stat.usageSeconds = now.playingSeconds - start.playingSeconds;
-    stat.uiUpdates = now.uiUpdates - start.uiUpdates;
-    stat.interactions = now.interactions - start.interactions;
-    stat.heldAtTermEnd = audio_.isOpen(lease.token);
-
-    // Audible output is its own utility evidence; a silent open session
-    // only has whatever UI evidence the app produces.
-    utility::Signals signals;
-    signals.termSeconds = stat.termSeconds();
-    signals.usageSeconds = stat.usageSeconds;
-    signals.uiUpdates = stat.uiUpdates;
-    signals.interactions = stat.interactions;
-    if (stat.usageSeconds > 0.0) {
-        stat.utilityScore =
-            utility::genericScore(ResourceType::Audio, signals);
-    } else {
-        signals.usageSeconds = 0.0;
-        stat.utilityScore =
-            utility::genericScore(ResourceType::Wakelock, signals);
-    }
-    return stat;
+    if (stat.usageSeconds > 0.0) return LeaseProxy::score(stat, signals);
+    utility::Signals silent = signals;
+    silent.usageSeconds = 0.0;
+    return utility::genericScore(ResourceType::Wakelock, silent);
 }
 
 } // namespace leaseos::lease

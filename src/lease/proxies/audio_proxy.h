@@ -12,9 +12,7 @@
  * lists audio among the leasable resources).
  */
 
-#include <map>
-
-#include "lease/lease_proxy.h"
+#include "lease/proxies/lease_proxy.h"
 #include "os/activity_manager_service.h"
 #include "os/audio_session_service.h"
 
@@ -29,27 +27,19 @@ class AudioLeaseProxy : public LeaseProxy
     AudioLeaseProxy(os::AudioSessionService &audio,
                     os::ActivityManagerService &am);
 
-    void onExpire(const Lease &lease) override;
-    void onRenew(const Lease &lease) override;
-    bool resourceHeld(const Lease &lease) override;
-    void beginTerm(const Lease &lease) override;
-    LeaseStat collectStat(const Lease &lease) override;
+  protected:
+    LeaseStat counters(const Lease &lease) override;
+
+    /**
+     * Audible output is its own utility evidence; a silent open session
+     * only has whatever UI evidence the app produces.
+     */
+    double score(const LeaseStat &stat,
+                 const utility::Signals &signals) const override;
 
   private:
-    void forgetLease(LeaseId id) override { snapshots_.erase(id); }
-
-    struct Snapshot {
-        double openSeconds = 0.0;
-        double playingSeconds = 0.0;
-        std::uint64_t uiUpdates = 0;
-        std::uint64_t interactions = 0;
-    };
-
-    Snapshot snapshot(const Lease &lease);
-
     os::AudioSessionService &audio_;
     os::ActivityManagerService &am_;
-    std::map<LeaseId, Snapshot> snapshots_;
 };
 
 } // namespace leaseos::lease

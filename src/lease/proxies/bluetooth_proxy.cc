@@ -1,74 +1,22 @@
 #include "lease/proxies/bluetooth_proxy.h"
 
-#include "lease/utility/generic_utility.h"
-
 namespace leaseos::lease {
 
 BluetoothLeaseProxy::BluetoothLeaseProxy(os::BluetoothService &bt,
                                          os::ActivityManagerService &am)
-    : LeaseProxy(ResourceType::Bluetooth), bt_(bt), am_(am)
+    : LeaseProxy(ResourceType::Bluetooth, bt), bt_(bt), am_(am)
 {
-    bt_.addListener(this);
-}
-
-void
-BluetoothLeaseProxy::onExpire(const Lease &lease)
-{
-    bt_.suspend(lease.token);
-}
-
-void
-BluetoothLeaseProxy::onRenew(const Lease &lease)
-{
-    bt_.restore(lease.token);
-}
-
-bool
-BluetoothLeaseProxy::resourceHeld(const Lease &lease)
-{
-    return bt_.isActive(lease.token);
-}
-
-BluetoothLeaseProxy::Snapshot
-BluetoothLeaseProxy::snapshot(const Lease &lease)
-{
-    Snapshot s;
-    s.scanSeconds = bt_.scanSeconds(lease.uid);
-    s.activitySeconds = am_.activityAliveSeconds(lease.uid);
-    s.uiUpdates = am_.uiUpdateCount(lease.uid);
-    s.interactions = am_.userInteractionCount(lease.uid);
-    return s;
-}
-
-void
-BluetoothLeaseProxy::beginTerm(const Lease &lease)
-{
-    snapshots_[lease.id] = snapshot(lease);
 }
 
 LeaseStat
-BluetoothLeaseProxy::collectStat(const Lease &lease)
+BluetoothLeaseProxy::counters(const Lease &lease)
 {
-    Snapshot start = snapshots_[lease.id];
-    Snapshot now = snapshot(lease);
-
-    LeaseStat stat;
-    stat.termStart = lease.termStart;
-    stat.termEnd = lease.termStart + lease.termLength;
-    stat.holdingSeconds = now.scanSeconds - start.scanSeconds;
-    stat.usageSeconds = now.activitySeconds - start.activitySeconds;
-    stat.uiUpdates = now.uiUpdates - start.uiUpdates;
-    stat.interactions = now.interactions - start.interactions;
-    stat.heldAtTermEnd = bt_.isActive(lease.token);
-
-    utility::Signals signals;
-    signals.termSeconds = stat.termSeconds();
-    signals.usageSeconds = stat.usageSeconds;
-    signals.uiUpdates = stat.uiUpdates;
-    signals.interactions = stat.interactions;
-    stat.utilityScore =
-        utility::genericScore(ResourceType::Bluetooth, signals);
-    return stat;
+    LeaseStat s;
+    s.holdingSeconds = bt_.scanSeconds(lease.uid);
+    s.usageSeconds = am_.activityAliveSeconds(lease.uid);
+    s.uiUpdates = am_.uiUpdateCount(lease.uid);
+    s.interactions = am_.userInteractionCount(lease.uid);
+    return s;
 }
 
 } // namespace leaseos::lease

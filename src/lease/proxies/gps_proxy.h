@@ -12,10 +12,7 @@
  * utility.
  */
 
-#include <cstddef>
-#include <map>
-
-#include "lease/lease_proxy.h"
+#include "lease/proxies/lease_proxy.h"
 #include "os/activity_manager_service.h"
 #include "os/location_manager_service.h"
 
@@ -30,39 +27,19 @@ class GpsLeaseProxy : public LeaseProxy
     GpsLeaseProxy(os::LocationManagerService &lms,
                   os::ActivityManagerService &am);
 
-    void onExpire(const Lease &lease) override;
-    void onRenew(const Lease &lease) override;
-    bool resourceHeld(const Lease &lease) override;
-    void beginTerm(const Lease &lease) override;
-    LeaseStat collectStat(const Lease &lease) override;
-
     /**
      * Also drops the lease's snapshot: a removed request is never
      * re-acquired under its token, so no later term reads it.
      */
     void onReleased(os::TokenId token, Uid uid) override;
 
-    /** Leases whose term-start counters the proxy holds. */
-    std::size_t snapshotCount() const { return snapshots_.size(); }
+  protected:
+    /** For a subscription resource, holding == the outstanding request. */
+    LeaseStat counters(const Lease &lease) override;
 
   private:
-    void forgetLease(LeaseId id) override { snapshots_.erase(id); }
-
-    struct Snapshot {
-        double requestSeconds = 0.0;
-        double noFixSeconds = 0.0;
-        double activitySeconds = 0.0;
-        double distanceMeters = 0.0;
-        std::uint64_t uiUpdates = 0;
-        std::uint64_t interactions = 0;
-        std::uint64_t requests = 0;
-    };
-
-    Snapshot snapshot(const Lease &lease);
-
     os::LocationManagerService &lms_;
     os::ActivityManagerService &am_;
-    std::map<LeaseId, Snapshot> snapshots_;
 };
 
 } // namespace leaseos::lease

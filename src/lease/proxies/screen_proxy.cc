@@ -1,14 +1,11 @@
 #include "lease/proxies/screen_proxy.h"
 
-#include "lease/utility/generic_utility.h"
-
 namespace leaseos::lease {
 
 ScreenLeaseProxy::ScreenLeaseProxy(os::PowerManagerService &pms,
                                    os::ActivityManagerService &am)
-    : LeaseProxy(ResourceType::Screen), pms_(pms), am_(am)
+    : LeaseProxy(ResourceType::Screen, pms), pms_(pms), am_(am)
 {
-    pms_.addListener(this);
 }
 
 bool
@@ -35,71 +32,16 @@ ScreenLeaseProxy::onReleased(os::TokenId token, Uid uid)
     if (mine(token)) LeaseProxy::onReleased(token, uid);
 }
 
-void
-ScreenLeaseProxy::onDestroyed(os::TokenId token, Uid uid)
+LeaseStat
+ScreenLeaseProxy::counters(const Lease &lease)
 {
-    LeaseProxy::onDestroyed(token, uid);
-}
-
-void
-ScreenLeaseProxy::onExpire(const Lease &lease)
-{
-    pms_.suspend(lease.token);
-}
-
-void
-ScreenLeaseProxy::onRenew(const Lease &lease)
-{
-    pms_.restore(lease.token);
-}
-
-bool
-ScreenLeaseProxy::resourceHeld(const Lease &lease)
-{
-    return pms_.isHeld(lease.token);
-}
-
-ScreenLeaseProxy::Snapshot
-ScreenLeaseProxy::snapshot(const Lease &lease)
-{
-    Snapshot s;
-    s.enabledSeconds = pms_.enabledSecondsForToken(lease.token);
-    s.activitySeconds = am_.activityAliveSeconds(lease.uid);
+    LeaseStat s;
+    s.holdingSeconds = pms_.enabledSecondsForToken(lease.token);
+    s.usageSeconds = am_.activityAliveSeconds(lease.uid);
     s.uiUpdates = am_.uiUpdateCount(lease.uid);
     s.interactions = am_.userInteractionCount(lease.uid);
     s.acquires = pms_.acquireCount(lease.uid);
     return s;
-}
-
-void
-ScreenLeaseProxy::beginTerm(const Lease &lease)
-{
-    snapshots_[lease.id] = snapshot(lease);
-}
-
-LeaseStat
-ScreenLeaseProxy::collectStat(const Lease &lease)
-{
-    Snapshot start = snapshots_[lease.id];
-    Snapshot now = snapshot(lease);
-
-    LeaseStat stat;
-    stat.termStart = lease.termStart;
-    stat.termEnd = lease.termStart + lease.termLength;
-    stat.holdingSeconds = now.enabledSeconds - start.enabledSeconds;
-    stat.usageSeconds = now.activitySeconds - start.activitySeconds;
-    stat.uiUpdates = now.uiUpdates - start.uiUpdates;
-    stat.interactions = now.interactions - start.interactions;
-    stat.acquires = now.acquires - start.acquires;
-    stat.heldAtTermEnd = pms_.isHeld(lease.token);
-
-    utility::Signals signals;
-    signals.termSeconds = stat.termSeconds();
-    signals.usageSeconds = stat.usageSeconds;
-    signals.uiUpdates = stat.uiUpdates;
-    signals.interactions = stat.interactions;
-    stat.utilityScore = utility::genericScore(ResourceType::Screen, signals);
-    return stat;
 }
 
 } // namespace leaseos::lease

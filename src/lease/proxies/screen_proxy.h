@@ -12,9 +12,7 @@
  * background screen-holds as Long-Holding.
  */
 
-#include <map>
-
-#include "lease/lease_proxy.h"
+#include "lease/proxies/lease_proxy.h"
 #include "os/activity_manager_service.h"
 #include "os/power_manager_service.h"
 
@@ -29,34 +27,21 @@ class ScreenLeaseProxy : public LeaseProxy
     ScreenLeaseProxy(os::PowerManagerService &pms,
                      os::ActivityManagerService &am);
 
-    void onExpire(const Lease &lease) override;
-    void onRenew(const Lease &lease) override;
-    bool resourceHeld(const Lease &lease) override;
-    void beginTerm(const Lease &lease) override;
-    LeaseStat collectStat(const Lease &lease) override;
-
+    // Filtered forwarding: only full locks belong to this proxy.
+    // onDestroyed stays unfiltered: the lock record is gone by then, and
+    // the proxy ignores tokens it has no lease for.
     void onCreated(os::TokenId token, Uid uid) override;
     void onAcquired(os::TokenId token, Uid uid) override;
     void onReleased(os::TokenId token, Uid uid) override;
-    void onDestroyed(os::TokenId token, Uid uid) override;
+
+  protected:
+    LeaseStat counters(const Lease &lease) override;
 
   private:
-    void forgetLease(LeaseId id) override { snapshots_.erase(id); }
-
-    struct Snapshot {
-        double enabledSeconds = 0.0;
-        double activitySeconds = 0.0;
-        std::uint64_t uiUpdates = 0;
-        std::uint64_t interactions = 0;
-        std::uint64_t acquires = 0;
-    };
-
     bool mine(os::TokenId token) const;
-    Snapshot snapshot(const Lease &lease);
 
     os::PowerManagerService &pms_;
     os::ActivityManagerService &am_;
-    std::map<LeaseId, Snapshot> snapshots_;
 };
 
 } // namespace leaseos::lease

@@ -67,12 +67,13 @@ class DefDroidController
     std::uint64_t throttleCount() const { return throttles_; }
 
   private:
-    /** Which service a tracked token belongs to. */
+    /** Which resource a tracked token is (sets its limit and back-off). */
     enum class Kind { Wakelock, Screen, Gps, Sensor, Wifi };
 
     struct Tracked {
         Uid uid;
         Kind kind;
+        os::ResourceService *service;
         sim::Time heldSince;
         bool throttled = false;
     };
@@ -81,13 +82,14 @@ class DefDroidController
     class Watcher : public os::ResourceListener
     {
       public:
-        Watcher(DefDroidController &owner, Kind kind)
-            : owner_(owner), kind_(kind) {}
+        Watcher(DefDroidController &owner, Kind kind,
+                os::ResourceService &service)
+            : owner_(owner), kind_(kind), service_(service) {}
 
         void
         onAcquired(os::TokenId token, Uid uid) override
         {
-            owner_.noteAcquired(token, uid, kind_);
+            owner_.noteAcquired(token, uid, kind_, service_);
         }
         void
         onReleased(os::TokenId token, Uid uid) override
@@ -105,17 +107,18 @@ class DefDroidController
       private:
         DefDroidController &owner_;
         Kind kind_;
+        os::ResourceService &service_;
     };
 
-    void noteAcquired(os::TokenId token, Uid uid, Kind kind);
+    void noteAcquired(os::TokenId token, Uid uid, Kind kind,
+                      os::ResourceService &service);
     void noteReleased(os::TokenId token);
     void poll();
     void throttle(os::TokenId token, Tracked &tracked);
-    void unthrottle(os::TokenId token, Kind kind);
+    void unthrottle(os::TokenId token, Kind kind,
+                    os::ResourceService &service);
     sim::Time holdLimit(Kind kind) const;
     sim::Time backoff(Kind kind) const;
-    void suspendAtService(os::TokenId token, Kind kind);
-    void restoreAtService(os::TokenId token, Kind kind);
 
     sim::Simulator &sim_;
     os::SystemServer &server_;
@@ -124,10 +127,11 @@ class DefDroidController
     /** Owns the poll loop: destroying the controller stops polling. */
     sim::PeriodicHandle pollTick_;
 
-    Watcher wakelockWatcher_{*this, Kind::Wakelock};
-    Watcher gpsWatcher_{*this, Kind::Gps};
-    Watcher sensorWatcher_{*this, Kind::Sensor};
-    Watcher wifiWatcher_{*this, Kind::Wifi};
+    Watcher wakelockWatcher_{*this, Kind::Wakelock,
+                             server_.powerManager()};
+    Watcher gpsWatcher_{*this, Kind::Gps, server_.locationManager()};
+    Watcher sensorWatcher_{*this, Kind::Sensor, server_.sensorManager()};
+    Watcher wifiWatcher_{*this, Kind::Wifi, server_.wifiManager()};
 
     std::map<os::TokenId, Tracked> tracked_;
     std::uint64_t throttles_ = 0;

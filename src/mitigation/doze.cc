@@ -71,10 +71,16 @@ DozeController::allowed(Uid uid) const
     return uid == server_.activityManager().foreground();
 }
 
+std::array<os::ResourceService *, 4>
+DozeController::gatedServices()
+{
+    return {&server_.powerManager(), &server_.wifiManager(),
+            &server_.locationManager(), &server_.sensorManager()};
+}
+
 void
 DozeController::applyFilters()
 {
-    auto filter = [this](Uid uid) { return allowed(uid); };
     // Doze defers background CPU/network activity but never blanks a
     // screen an app is forcing on — full wakelocks pass through (which
     // is why Doze barely helps the Table 5 screen rows).
@@ -82,19 +88,18 @@ DozeController::applyFilters()
         [this](Uid uid, os::WakeLockType type) {
             return type == os::WakeLockType::Full || allowed(uid);
         });
-    server_.wifiManager().setGlobalFilter(filter);
-    server_.locationManager().setGlobalFilter(filter);
-    server_.sensorManager().setGlobalFilter(filter);
+    auto filter = [this](Uid uid) { return allowed(uid); };
+    for (os::ResourceService *service : gatedServices())
+        if (service != &server_.powerManager())
+            service->setGlobalFilter(filter);
     server_.alarmManager().setGate(filter);
 }
 
 void
 DozeController::clearFilters()
 {
-    server_.powerManager().clearGlobalFilter();
-    server_.wifiManager().setGlobalFilter(nullptr);
-    server_.locationManager().setGlobalFilter(nullptr);
-    server_.sensorManager().setGlobalFilter(nullptr);
+    for (os::ResourceService *service : gatedServices())
+        service->setGlobalFilter(nullptr);
     server_.alarmManager().setGate(nullptr);
 }
 
@@ -125,10 +130,8 @@ DozeController::openMaintenanceWindow()
     if (!dozing_) return;
     maintenance_ = true;
     // Filters consult maintenance_; poke services to re-evaluate.
-    server_.powerManager().refilter();
-    server_.wifiManager().refilter();
-    server_.locationManager().refilter();
-    server_.sensorManager().refilter();
+    for (os::ResourceService *service : gatedServices())
+        service->refilter();
     sim_.schedule(config_.maintenanceWindow,
                   [this] { closeMaintenanceWindow(); });
 }
@@ -138,10 +141,8 @@ DozeController::closeMaintenanceWindow()
 {
     if (!dozing_) return;
     maintenance_ = false;
-    server_.powerManager().refilter();
-    server_.wifiManager().refilter();
-    server_.locationManager().refilter();
-    server_.sensorManager().refilter();
+    for (os::ResourceService *service : gatedServices())
+        service->refilter();
     sim_.schedule(config_.maintenanceInterval,
                   [this] { openMaintenanceWindow(); });
 }

@@ -14,6 +14,7 @@
  * reproduces the paper's adb-forced variant.
  */
 
+#include <array>
 #include <cstdint>
 
 #include "env/motion_model.h"
@@ -69,6 +70,8 @@ class DozeController
   private:
     void enter();
     void exit();
+    /** The services Doze gates: power, Wi-Fi, location, sensors. */
+    std::array<os::ResourceService *, 4> gatedServices();
     void applyFilters();
     void clearFilters();
     void scheduleIdleCheck();

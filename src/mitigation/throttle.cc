@@ -21,13 +21,14 @@ OneShotThrottler::start()
 }
 
 void
-OneShotThrottler::noteAcquired(os::TokenId token, Uid uid, Kind kind)
+OneShotThrottler::noteAcquired(os::TokenId token,
+                               os::ResourceService &service)
 {
-    (void)uid;
-    if (tracked_.count(token)) return;
-    tracked_[token] = kind;
-    sim_.schedule(holdLimit_, [this, token, kind] {
-        if (tracked_.count(token)) revoke(token, kind);
+    if (!tracked_.insert(token).second) return;
+    sim_.schedule(holdLimit_, [this, token, &service] {
+        if (!tracked_.count(token)) return;
+        ++revocations_;
+        service.suspend(token);
     });
 }
 
@@ -35,26 +36,6 @@ void
 OneShotThrottler::noteReleased(os::TokenId token)
 {
     tracked_.erase(token);
-}
-
-void
-OneShotThrottler::revoke(os::TokenId token, Kind kind)
-{
-    ++revocations_;
-    switch (kind) {
-      case Kind::Power:
-        server_.powerManager().suspend(token);
-        break;
-      case Kind::Gps:
-        server_.locationManager().suspend(token);
-        break;
-      case Kind::Sensor:
-        server_.sensorManager().suspend(token);
-        break;
-      case Kind::Wifi:
-        server_.wifiManager().suspend(token);
-        break;
-    }
 }
 
 } // namespace leaseos::mitigation

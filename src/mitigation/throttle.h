@@ -11,7 +11,7 @@
  */
 
 #include <cstdint>
-#include <map>
+#include <set>
 
 #include "os/resource_listener.h"
 #include "os/system_server.h"
@@ -33,18 +33,18 @@ class OneShotThrottler
     std::uint64_t revocations() const { return revocations_; }
 
   private:
-    enum class Kind { Power, Gps, Sensor, Wifi };
-
+    /** Listener adapter: one per service. */
     class Watcher : public os::ResourceListener
     {
       public:
-        Watcher(OneShotThrottler &owner, Kind kind)
-            : owner_(owner), kind_(kind) {}
+        Watcher(OneShotThrottler &owner, os::ResourceService &service)
+            : owner_(owner), service_(service) {}
 
         void
         onAcquired(os::TokenId token, Uid uid) override
         {
-            owner_.noteAcquired(token, uid, kind_);
+            (void)uid;
+            owner_.noteAcquired(token, service_);
         }
         void
         onReleased(os::TokenId token, Uid uid) override
@@ -61,24 +61,23 @@ class OneShotThrottler
 
       private:
         OneShotThrottler &owner_;
-        Kind kind_;
+        os::ResourceService &service_;
     };
 
-    void noteAcquired(os::TokenId token, Uid uid, Kind kind);
+    void noteAcquired(os::TokenId token, os::ResourceService &service);
     void noteReleased(os::TokenId token);
-    void revoke(os::TokenId token, Kind kind);
 
     sim::Simulator &sim_;
     os::SystemServer &server_;
     sim::Time holdLimit_;
     bool started_ = false;
 
-    Watcher powerWatcher_{*this, Kind::Power};
-    Watcher gpsWatcher_{*this, Kind::Gps};
-    Watcher sensorWatcher_{*this, Kind::Sensor};
-    Watcher wifiWatcher_{*this, Kind::Wifi};
+    Watcher powerWatcher_{*this, server_.powerManager()};
+    Watcher gpsWatcher_{*this, server_.locationManager()};
+    Watcher sensorWatcher_{*this, server_.sensorManager()};
+    Watcher wifiWatcher_{*this, server_.wifiManager()};
 
-    std::map<os::TokenId, Kind> tracked_;
+    std::set<os::TokenId> tracked_;
     std::uint64_t revocations_ = 0;
 };
 

@@ -1,53 +1,28 @@
 #include "os/audio_session_service.h"
 
 #include <set>
+#include <vector>
 
 namespace leaseos::os {
 
 AudioSessionService::AudioSessionService(
     sim::Simulator &sim, power::CpuModel &cpu, power::AudioModel &audio,
     power::EnergyAccountant &accountant, TokenAllocator &tokens)
-    : Service(sim, cpu, "audio"), audio_(audio), accountant_(accountant),
-      pipelineChannel_(accountant.makeChannel("audio_pipeline")),
-      tokens_(tokens), lastAdvance_(sim.now())
+    : TokenService(sim, cpu, "audio", tokens), audio_(audio),
+      accountant_(accountant),
+      pipelineChannel_(accountant.makeChannel("audio_pipeline"))
 {
 }
 
 void
-AudioSessionService::advance()
-{
-    sim::Time now = sim_.now();
-    if (now <= lastAdvance_) {
-        lastAdvance_ = now;
-        return;
-    }
-    double dt = (now - lastAdvance_).seconds();
-    for (auto &[token, session] : sessions_) {
-        if (!session.enabled) continue;
-        openSeconds_[session.uid] += dt;
-        if (session.playing) playingSeconds_[session.uid] += dt;
-    }
-    lastAdvance_ = now;
-}
-
-bool
-AudioSessionService::allowedByFilter(Uid uid) const
-{
-    return !filter_ || filter_(uid);
-}
-
-void
-AudioSessionService::apply()
+AudioSessionService::publish()
 {
     std::set<Uid> open_owners;
     std::map<Uid, bool> playing;
-    for (auto &[token, session] : sessions_) {
-        session.enabled = session.open && !session.suspended &&
-            allowedByFilter(session.uid);
-        if (session.enabled) {
-            open_owners.insert(session.uid);
-            if (session.playing) playing[session.uid] = true;
-        }
+    for (const auto &[token, session] : held()) {
+        if (!session.enabled) continue;
+        open_owners.insert(session.uid);
+        if (session.playing) playing[session.uid] = true;
     }
     // Open sessions keep the pipeline powered and the app runnable (the
     // iOS background-audio semantics behind the Facebook leak).
@@ -65,158 +40,44 @@ AudioSessionService::apply()
 TokenId
 AudioSessionService::openSession(Uid uid)
 {
-    chargeIpc(uid, kResourceIpcLatency);
-    advance();
-    TokenId token = tokens_.next();
-    Session session;
+    AudioSessionRecord session;
     session.uid = uid;
-    session.open = true;
-    sessions_.emplace(token, session);
+    return create(session, kResourceIpcLatency, true);
+}
+
+void
+AudioSessionService::setPlaying(AudioSessionRecord *session, bool playing)
+{
+    if (!session) return;
+    chargeIpc(session->uid, kBinderIpcLatency);
+    advance();
+    session->playing = playing;
     apply();
-    for (auto *l : listeners_) l->onCreated(token, uid);
-    for (auto *l : listeners_) l->onAcquired(token, uid);
-    return token;
 }
 
 void
 AudioSessionService::startPlayback(TokenId token)
 {
-    auto it = sessions_.find(token);
-    if (it == sessions_.end() || !it->second.open) return;
-    chargeIpc(it->second.uid, kBinderIpcLatency);
-    advance();
-    it->second.playing = true;
-    apply();
+    setPlaying(findHeld(token), true);
 }
 
 void
 AudioSessionService::stopPlayback(TokenId token)
 {
-    auto it = sessions_.find(token);
-    if (it == sessions_.end()) return;
-    chargeIpc(it->second.uid, kBinderIpcLatency);
-    advance();
-    it->second.playing = false;
-    apply();
-}
-
-void
-AudioSessionService::closeSession(TokenId token)
-{
-    auto it = sessions_.find(token);
-    if (it == sessions_.end() || !it->second.open) return;
-    Uid uid = it->second.uid;
-    chargeIpc(uid, kBinderIpcLatency);
-    advance();
-    it->second.open = false;
-    it->second.playing = false;
-    apply();
-    for (auto *l : listeners_) l->onReleased(token, uid);
-}
-
-void
-AudioSessionService::destroy(TokenId token)
-{
-    auto it = sessions_.find(token);
-    if (it == sessions_.end()) return;
-    advance();
-    Uid uid = it->second.uid;
-    sessions_.erase(it);
-    tokens_.retire(token);
-    apply();
-    for (auto *l : listeners_) l->onDestroyed(token, uid);
-}
-
-bool
-AudioSessionService::isOpen(TokenId token) const
-{
-    auto it = sessions_.find(token);
-    return it != sessions_.end() && it->second.open;
+    setPlaying(find(token), false);
 }
 
 bool
 AudioSessionService::isPlaying(TokenId token) const
 {
-    auto it = sessions_.find(token);
-    return it != sessions_.end() && it->second.playing;
-}
-
-void
-AudioSessionService::suspend(TokenId token)
-{
-    auto it = sessions_.find(token);
-    if (it == sessions_.end() || it->second.suspended) return;
-    advance();
-    it->second.suspended = true;
-    apply();
-}
-
-void
-AudioSessionService::restore(TokenId token)
-{
-    auto it = sessions_.find(token);
-    if (it == sessions_.end() || !it->second.suspended) return;
-    advance();
-    it->second.suspended = false;
-    apply();
-}
-
-bool
-AudioSessionService::isSuspended(TokenId token) const
-{
-    auto it = sessions_.find(token);
-    return it != sessions_.end() && it->second.suspended;
-}
-
-bool
-AudioSessionService::isEnabled(TokenId token) const
-{
-    auto it = sessions_.find(token);
-    return it != sessions_.end() && it->second.enabled;
-}
-
-void
-AudioSessionService::setGlobalFilter(std::function<bool(Uid)> filter)
-{
-    advance();
-    filter_ = std::move(filter);
-    apply();
-}
-
-void
-AudioSessionService::refilter()
-{
-    advance();
-    apply();
-}
-
-void
-AudioSessionService::addListener(ResourceListener *listener)
-{
-    listeners_.push_back(listener);
-}
-
-double
-AudioSessionService::openSeconds(Uid uid)
-{
-    advance();
-    auto it = openSeconds_.find(uid);
-    return it == openSeconds_.end() ? 0.0 : it->second;
+    return isHeld(token) && find(token)->playing;
 }
 
 double
 AudioSessionService::playingSeconds(Uid uid)
 {
     advance();
-    auto it = playingSeconds_.find(uid);
-    return it == playingSeconds_.end() ? 0.0 : it->second;
-}
-
-Uid
-AudioSessionService::ownerOf(TokenId token) const
-{
-    auto it = sessions_.find(token);
-    return it == sessions_.end() ? kInvalidUid : it->second.uid;
+    return perUid(playingSeconds_, uid);
 }
 
 } // namespace leaseos::os

@@ -15,22 +15,24 @@
  * resources Table 1 lists as leasable.
  */
 
-#include <cstdint>
-#include <functional>
 #include <map>
-#include <vector>
 
-#include "os/binder.h"
-#include "os/resource_listener.h"
-#include "os/service.h"
+#include "os/token_service.h"
 #include "power/audio_model.h"
 
 namespace leaseos::os {
 
+/** One audio session. */
+struct AudioSessionRecord : TokenRecord {
+    bool playing = false;
+};
+
 /**
- * Audio session service with lease/throttle interposition hooks.
+ * Audio session service with lease/throttle interposition hooks. A
+ * session is held while open; enabledSeconds is the open time.
  */
-class AudioSessionService : public Service
+class AudioSessionService final
+    : public TokenService<AudioSessionService, AudioSessionRecord>
 {
   public:
     /** Draw of an open-but-silent session's pipeline (DSP powered). */
@@ -46,62 +48,45 @@ class AudioSessionService : public Service
     /** Open (acquire) an audio session. */
     TokenId openSession(Uid uid);
 
-    /** Begin/stop audible playback on an open session. */
+    /**
+     * Begin/stop audible playback. Starting needs an open session;
+     * stopping is charged on any live one.
+     */
     void startPlayback(TokenId token);
     void stopPlayback(TokenId token);
 
     /** Close (release) the session. */
-    void closeSession(TokenId token);
+    void closeSession(TokenId token) { release(token); }
 
-    /** Kernel object death. */
-    void destroy(TokenId token);
-
-    bool isOpen(TokenId token) const;
+    /** Open and audibly playing. */
     bool isPlaying(TokenId token) const;
 
-    // ---- Interposition ---------------------------------------------------
-
-    void suspend(TokenId token);
-    void restore(TokenId token);
-    bool isSuspended(TokenId token) const;
-    bool isEnabled(TokenId token) const;
-    void setGlobalFilter(std::function<bool(Uid)> filter);
-    void refilter();
-    void addListener(ResourceListener *listener);
-
     // ---- Metrics --------------------------------------------------------
-
-    /** Time @p uid has had an enabled session open. */
-    double openSeconds(Uid uid);
 
     /** Time @p uid spent audibly playing through enabled sessions. */
     double playingSeconds(Uid uid);
 
-    Uid ownerOf(TokenId token) const;
+    const char *tokenKind() const override { return "audio session"; }
 
   private:
-    struct Session {
-        Uid uid = kInvalidUid;
-        bool open = false;
-        bool playing = false;
-        bool suspended = false;
-        bool enabled = false;
-    };
+    friend TokenService;
 
-    void advance();
-    void apply();
-    bool allowedByFilter(Uid uid) const;
+    void
+    accrue(AudioSessionRecord &session, double dt)
+    {
+        if (session.enabled && session.playing)
+            playingSeconds_[session.uid] += dt;
+    }
+
+    /** Power the pipeline and route audible output per uid. */
+    void publish();
+
+    void setPlaying(AudioSessionRecord *session, bool playing);
 
     power::AudioModel &audio_;
     power::EnergyAccountant &accountant_;
     power::ChannelId pipelineChannel_;
-    TokenAllocator &tokens_;
-    std::map<TokenId, Session> sessions_;
-    std::function<bool(Uid)> filter_;
-    std::vector<ResourceListener *> listeners_;
 
-    sim::Time lastAdvance_;
-    std::map<Uid, double> openSeconds_;
     std::map<Uid, double> playingSeconds_;
     std::map<Uid, bool> lastPlaying_;
 };

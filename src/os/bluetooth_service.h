@@ -12,13 +12,9 @@
  */
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <vector>
 
-#include "os/binder.h"
-#include "os/resource_listener.h"
-#include "os/service.h"
+#include "os/token_service.h"
 #include "power/bluetooth_model.h"
 
 namespace leaseos::os {
@@ -31,10 +27,17 @@ class ScanListener
     virtual void onDeviceFound(std::uint64_t deviceId) = 0;
 };
 
+/** One LE scan registration. */
+struct ScanRecord : TokenRecord {
+    ScanListener *listener = nullptr;
+    bool tickScheduled = false;
+};
+
 /**
  * Bluetooth scan service with lease/throttle interposition hooks.
  */
-class BluetoothService : public Service
+class BluetoothService final
+    : public TokenService<BluetoothService, ScanRecord>
 {
   public:
     /** Cadence of discovery callbacks while scanning near devices. */
@@ -51,47 +54,29 @@ class BluetoothService : public Service
     // ---- App-facing API ------------------------------------------------
 
     TokenId startScan(Uid uid, ScanListener *listener);
-    void stopScan(TokenId token);
-    void destroy(TokenId token);
-    bool isActive(TokenId token) const;
-
-    // ---- Interposition ---------------------------------------------------
-
-    void suspend(TokenId token);
-    void restore(TokenId token);
-    bool isSuspended(TokenId token) const;
-    bool isEnabled(TokenId token) const;
-    void setGlobalFilter(std::function<bool(Uid)> filter);
-    void refilter();
-    void addListener(ResourceListener *listener);
+    void stopScan(TokenId token) { release(token); }
 
     // ---- Metrics --------------------------------------------------------
 
     double scanSeconds(Uid uid) { return bluetooth_.scanSeconds(uid); }
-    std::uint64_t discoveries(Uid uid) const;
-    Uid ownerOf(TokenId token) const;
+    std::uint64_t discoveries(Uid uid) const
+    {
+        return perUid(discoveries_, uid);
+    }
+
+    const char *tokenKind() const override { return "Bluetooth scan"; }
 
   private:
-    struct Scan {
-        Uid uid = kInvalidUid;
-        ScanListener *listener = nullptr;
-        bool active = false;
-        bool suspended = false;
-        bool enabled = false;
-        bool tickScheduled = false;
-    };
+    friend TokenService;
 
-    void apply();
-    bool allowedByFilter(Uid uid) const;
+    void enable(TokenId token, ScanRecord &) { scheduleTick(token); }
+    void publish() { bluetooth_.setScanOwners(enabledOwners()); }
+
     void scheduleTick(TokenId token);
     void deliverTick(TokenId token);
 
     power::BluetoothModel &bluetooth_;
-    TokenAllocator &tokens_;
     int nearbyDevices_ = 3;
-    std::map<TokenId, Scan> scans_;
-    std::function<bool(Uid)> filter_;
-    std::vector<ResourceListener *> listeners_;
     std::map<Uid, std::uint64_t> discoveries_;
     std::uint64_t nextDeviceId_ = 1;
 };

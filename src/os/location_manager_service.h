@@ -14,16 +14,12 @@
  * moved for the generic GPS utility (§3.3).
  */
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <vector>
 
 #include "common/geo.h"
-#include "os/binder.h"
-#include "os/resource_listener.h"
-#include "os/service.h"
+#include "os/token_service.h"
 #include "power/gps_model.h"
 
 namespace leaseos::os {
@@ -36,24 +32,33 @@ class LocationListener
     virtual void onLocation(const GeoPoint &point) = 0;
 };
 
+/** One location update request. */
+struct LocationRequest : TokenRecord {
+    sim::Time interval;
+    LocationListener *listener = nullptr;
+    bool tickScheduled = false;
+    bool hasLastPoint = false;
+    GeoPoint lastPoint;
+};
+
 /**
  * GPS request management with lease/throttle interposition hooks.
  *
- * A request is *outstanding* from requestLocationUpdates() until
- * removeUpdates(); only outstanding requests drive the GPS, accrue
- * request time and receive fixes, and advance()/apply() scan only them.
- * removeUpdates() moves the request into a slim table of *removed*
- * tokens ({uid, suspended}) that exists only to answer isSuspended and
- * ownerOf and to take suspend, restore and destroy, which still
- * re-publish the GPS owners exactly as for an outstanding request. Retry apps request again on every cycle
- * and never destroy the old request, so the removed table grows with
- * virtual time while the scanned set stays at the outstanding count.
+ * A request is created held by requestLocationUpdates() and released by
+ * removeUpdates(); only held requests drive the GPS, accrue request time
+ * and receive fixes. A removed request keeps its record among the
+ * released ones until destroy(): it still answers isSuspended and ownerOf
+ * and takes suspend, restore and destroy, which re-publish the GPS
+ * owners exactly as for a held request. Retry apps request again on
+ * every cycle and never destroy the old request, so the released records
+ * grow with virtual time while the scanned set stays at the held count.
  *
  * Only destroy() retires a token. A removed request's lease therefore
  * goes Inactive at its next term end rather than Dead, unlike Android,
  * where removing the listener is the kernel object's death.
  */
-class LocationManagerService : public Service
+class LocationManagerService final
+    : public TokenService<LocationManagerService, LocationRequest>
 {
   public:
     /** Provides the device's true position (from env::GpsEnvironment). */
@@ -75,87 +80,45 @@ class LocationManagerService : public Service
                                    LocationListener *listener);
 
     /** App-initiated removal (the "release"). */
-    void removeUpdates(TokenId token);
+    void removeUpdates(TokenId token) { release(token); }
 
-    /** Kernel object death (app exit). */
-    void destroy(TokenId token);
+    // ---- Metrics (enabledSeconds is the request time) -------------------
 
-    bool isActive(TokenId token) const;
-
-    // ---- Interposition ---------------------------------------------------
-
-    void suspend(TokenId token);
-    void restore(TokenId token);
-    bool isSuspended(TokenId token) const;
-    bool isEnabled(TokenId token) const;
-    void setGlobalFilter(std::function<bool(Uid)> filter);
-    void refilter();
-    void addListener(ResourceListener *listener);
-
-    // ---- Metrics --------------------------------------------------------
-
-    /** Time an enabled request has been outstanding. */
-    double requestSeconds(Uid uid);
-
-    /** Outstanding-and-enabled time during which there was no fix. */
+    /** Enabled request time during which there was no fix. */
     double noFixSeconds(Uid uid);
 
-    std::uint64_t fixCount(Uid uid) const;
-    std::uint64_t requestCount(Uid uid) const;
+    std::uint64_t fixCount(Uid uid) const { return perUid(fixCount_, uid); }
 
     /** Metres moved between consecutive delivered fixes. */
-    double distanceMeters(Uid uid) const;
+    double distanceMeters(Uid uid) const
+    {
+        return perUid(distanceMeters_, uid);
+    }
 
-    Uid ownerOf(TokenId token) const;
     bool hasFix() const { return gps_.hasFix(); }
 
-    /** Update requests @p uid still has outstanding (not removed). */
-    std::vector<TokenId> activeRequests(Uid uid) const;
-
-    /** Requests advance()/apply() scan: outstanding ones, all apps. */
-    std::size_t outstandingCount() const { return requests_.size(); }
+    const char *tokenKind() const override { return "GPS update request"; }
 
   private:
-    /** An outstanding request. */
-    struct Request {
-        Uid uid = kInvalidUid;
-        sim::Time interval;
-        LocationListener *listener = nullptr;
-        bool suspended = false;
-        bool enabled = false;
-        bool tickScheduled = false;
-        bool hasLastPoint = false;
-        GeoPoint lastPoint;
-    };
+    friend TokenService;
 
-    /** A removed, not yet destroyed request: never enabled again. */
-    struct Removed {
-        Uid uid = kInvalidUid;
-        bool suspended = false;
-    };
+    void
+    accrue(LocationRequest &req, double dt)
+    {
+        if (req.enabled && !gps_.hasFix()) noFixSeconds_[req.uid] += dt;
+    }
 
-    /** The suspended flag of @p token in either table, or nullptr. */
-    bool *suspendedFlag(TokenId token);
+    void enable(TokenId token, LocationRequest &) { scheduleTick(token); }
+    void publish() { gps_.setRequestOwners(enabledOwners()); }
 
-    void advance();
-    void apply();
-    bool allowedByFilter(Uid uid) const;
     void scheduleTick(TokenId token);
     void deliverTick(TokenId token);
 
     power::GpsModel &gps_;
-    TokenAllocator &tokens_;
     PositionFn positionFn_;
-    std::map<TokenId, Request> requests_; // outstanding
-    std::map<TokenId, Removed> removed_;
-    std::function<bool(Uid)> filter_;
-    std::vector<ResourceListener *> listeners_;
 
-    sim::Time lastAdvance_;
-    std::map<Uid, double> requestSeconds_;
     std::map<Uid, double> noFixSeconds_;
     std::map<Uid, std::uint64_t> fixCount_;
-    std::map<Uid, std::uint64_t> requestCount_;
     std::map<Uid, double> distanceMeters_;
 };
 

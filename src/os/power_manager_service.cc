@@ -1,6 +1,5 @@
 #include "os/power_manager_service.h"
 
-#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -9,46 +8,23 @@ namespace leaseos::os {
 PowerManagerService::PowerManagerService(sim::Simulator &sim,
                                          power::CpuModel &cpu,
                                          TokenAllocator &tokens)
-    : Service(sim, cpu, "power"), tokens_(tokens), lastAdvance_(sim.now())
+    : TokenService(sim, cpu, "power", tokens)
 {
 }
 
 void
-PowerManagerService::advance()
+PowerManagerService::accrue(WakeLockRecord &lock, double dt)
 {
-    sim::Time now = sim_.now();
-    if (now <= lastAdvance_) {
-        lastAdvance_ = now;
-        return;
-    }
-    double dt = (now - lastAdvance_).seconds();
-    for (auto &[token, lock] : locks_) {
-        if (lock.held) {
-            lock.heldSeconds += dt;
-            heldSeconds_[lock.uid] += dt;
-        }
-        if (lock.enabled) {
-            lock.enabledSeconds += dt;
-            enabledSeconds_[lock.uid] += dt;
-        }
-    }
-    lastAdvance_ = now;
-}
-
-bool
-PowerManagerService::allowedByFilter(Uid uid, WakeLockType type) const
-{
-    return !filter_ || filter_(uid, type);
+    lock.heldSeconds += dt;
+    if (lock.enabled) lock.enabledSeconds += dt;
 }
 
 void
-PowerManagerService::apply()
+PowerManagerService::publish()
 {
     std::set<Uid> partial;
     std::set<Uid> full;
-    for (auto &[token, lock] : locks_) {
-        lock.enabled = lock.held && !lock.suspended &&
-            allowedByFilter(lock.uid, lock.type);
+    for (const auto &[token, lock] : held()) {
         if (!lock.enabled) continue;
         if (lock.type == WakeLockType::Partial) partial.insert(lock.uid);
         else full.insert(lock.uid);
@@ -69,229 +45,55 @@ TokenId
 PowerManagerService::newWakeLock(Uid uid, WakeLockType type,
                                  std::string tag)
 {
-    chargeIpc(uid, kBinderIpcLatency);
-    advance();
-    TokenId token = tokens_.next();
-    Lock lock;
+    WakeLockRecord lock;
     lock.uid = uid;
     lock.type = type;
     lock.tag = std::move(tag);
-    locks_.emplace(token, std::move(lock));
-    for (auto *l : listeners_) l->onCreated(token, uid);
-    return token;
-}
-
-void
-PowerManagerService::acquire(TokenId token)
-{
-    auto it = locks_.find(token);
-    if (it == locks_.end()) return;
-    Lock &lock = it->second;
-    chargeIpc(lock.uid, kResourceIpcLatency);
-    advance();
-    lock.held = true;
-    ++acquireCount_[lock.uid];
-    apply();
-    for (auto *l : listeners_) l->onAcquired(token, lock.uid);
+    return create(std::move(lock), kBinderIpcLatency, false);
 }
 
 void
 PowerManagerService::release(TokenId token)
 {
-    auto it = locks_.find(token);
-    if (it == locks_.end()) return;
-    Lock &lock = it->second;
-    chargeIpc(lock.uid, kBinderIpcLatency);
-    advance();
-    if (!lock.held) return;
-    lock.held = false;
-    ++releaseCount_[lock.uid];
-    apply();
-    for (auto *l : listeners_) l->onReleased(token, lock.uid);
-}
-
-void
-PowerManagerService::destroy(TokenId token)
-{
-    auto it = locks_.find(token);
-    if (it == locks_.end()) return;
-    advance();
-    Uid uid = it->second.uid;
-    locks_.erase(it);
-    tokens_.retire(token);
-    apply();
-    for (auto *l : listeners_) l->onDestroyed(token, uid);
-}
-
-bool
-PowerManagerService::isHeld(TokenId token) const
-{
-    auto it = locks_.find(token);
-    return it != locks_.end() && it->second.held;
-}
-
-void
-PowerManagerService::suspend(TokenId token)
-{
-    auto it = locks_.find(token);
-    if (it == locks_.end() || it->second.suspended) return;
-    advance();
-    it->second.suspended = true;
-    apply();
-}
-
-void
-PowerManagerService::restore(TokenId token)
-{
-    auto it = locks_.find(token);
-    if (it == locks_.end() || !it->second.suspended) return;
-    advance();
-    it->second.suspended = false;
-    apply();
-}
-
-bool
-PowerManagerService::isSuspended(TokenId token) const
-{
-    auto it = locks_.find(token);
-    return it != locks_.end() && it->second.suspended;
-}
-
-bool
-PowerManagerService::isEnabled(TokenId token) const
-{
-    auto it = locks_.find(token);
-    return it != locks_.end() && it->second.enabled;
-}
-
-void
-PowerManagerService::setGlobalFilter(std::function<bool(Uid)> filter)
-{
-    if (!filter) {
-        clearGlobalFilter();
+    if (!isHeld(token)) {
+        if (const WakeLockRecord *lock = find(token)) {
+            chargeIpc(lock->uid, kBinderIpcLatency);
+            advance();
+        }
         return;
     }
-    advance();
-    filter_ = [filter = std::move(filter)](Uid uid, WakeLockType) {
-        return filter(uid);
-    };
-    apply();
-}
-
-void
-PowerManagerService::clearGlobalFilter()
-{
-    advance();
-    filter_ = nullptr;
-    apply();
-}
-
-void
-PowerManagerService::setGlobalFilter(
-    std::function<bool(Uid, WakeLockType)> filter)
-{
-    advance();
-    filter_ = std::move(filter);
-    apply();
-}
-
-void
-PowerManagerService::refilter()
-{
-    advance();
-    apply();
-}
-
-void
-PowerManagerService::addListener(ResourceListener *listener)
-{
-    listeners_.push_back(listener);
-}
-
-double
-PowerManagerService::heldSeconds(Uid uid)
-{
-    advance();
-    auto it = heldSeconds_.find(uid);
-    return it == heldSeconds_.end() ? 0.0 : it->second;
+    TokenService::release(token);
 }
 
 double
 PowerManagerService::heldSecondsForToken(TokenId token)
 {
     advance();
-    auto it = locks_.find(token);
-    return it == locks_.end() ? 0.0 : it->second.heldSeconds;
-}
-
-double
-PowerManagerService::enabledSeconds(Uid uid)
-{
-    advance();
-    auto it = enabledSeconds_.find(uid);
-    return it == enabledSeconds_.end() ? 0.0 : it->second;
+    const WakeLockRecord *lock = find(token);
+    return lock ? lock->heldSeconds : 0.0;
 }
 
 double
 PowerManagerService::enabledSecondsForToken(TokenId token)
 {
     advance();
-    auto it = locks_.find(token);
-    return it == locks_.end() ? 0.0 : it->second.enabledSeconds;
-}
-
-std::uint64_t
-PowerManagerService::acquireCount(Uid uid) const
-{
-    auto it = acquireCount_.find(uid);
-    return it == acquireCount_.end() ? 0 : it->second;
-}
-
-std::uint64_t
-PowerManagerService::releaseCount(Uid uid) const
-{
-    auto it = releaseCount_.find(uid);
-    return it == releaseCount_.end() ? 0 : it->second;
-}
-
-std::vector<Uid>
-PowerManagerService::enabledOwners() const
-{
-    std::set<Uid> owners;
-    for (const auto &[token, lock] : locks_)
-        if (lock.enabled) owners.insert(lock.uid);
-    return {owners.begin(), owners.end()};
-}
-
-std::vector<TokenId>
-PowerManagerService::heldTokens(Uid uid) const
-{
-    std::vector<TokenId> held;
-    for (const auto &[token, lock] : locks_)
-        if (lock.uid == uid && lock.held) held.push_back(token);
-    return held;
-}
-
-Uid
-PowerManagerService::ownerOf(TokenId token) const
-{
-    auto it = locks_.find(token);
-    return it == locks_.end() ? kInvalidUid : it->second.uid;
+    const WakeLockRecord *lock = find(token);
+    return lock ? lock->enabledSeconds : 0.0;
 }
 
 WakeLockType
 PowerManagerService::typeOf(TokenId token) const
 {
-    auto it = locks_.find(token);
-    return it == locks_.end() ? WakeLockType::Partial : it->second.type;
+    const WakeLockRecord *lock = find(token);
+    return lock ? lock->type : WakeLockType::Partial;
 }
 
 const std::string &
 PowerManagerService::tagOf(TokenId token) const
 {
     static const std::string empty;
-    auto it = locks_.find(token);
-    return it == locks_.end() ? empty : it->second.tag;
+    const WakeLockRecord *lock = find(token);
+    return lock ? lock->tag : empty;
 }
 
 void

@@ -19,15 +19,12 @@
  *  - setGlobalFilter(uid -> allow): Doze-style gating of whole uids.
  */
 
-#include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
-#include "os/binder.h"
-#include "os/resource_listener.h"
-#include "os/service.h"
+#include "os/token_service.h"
 
 namespace leaseos::os {
 
@@ -37,10 +34,23 @@ enum class WakeLockType {
     Full     ///< CPU and screen stay on
 };
 
+/** One wakelock kernel object. */
+struct WakeLockRecord : TokenRecord {
+    WakeLockType type = WakeLockType::Partial;
+    std::string tag;
+    double heldSeconds = 0.0;
+    double enabledSeconds = 0.0;
+
+    /** Doze's filter sees the level: it lets full locks through. */
+    std::tuple<Uid, WakeLockType> filterArgs() const { return {uid, type}; }
+};
+
 /**
  * Wakelock service with lease/throttle interposition hooks.
  */
-class PowerManagerService : public Service
+class PowerManagerService final
+    : public TokenService<PowerManagerService, WakeLockRecord,
+                          std::function<bool(Uid, WakeLockType)>>
 {
   public:
     PowerManagerService(sim::Simulator &sim, power::CpuModel &cpu,
@@ -52,70 +62,33 @@ class PowerManagerService : public Service
     TokenId newWakeLock(Uid uid, WakeLockType type, std::string tag);
 
     /** Acquire; nested acquires are idempotent (counted as re-acquire). */
-    void acquire(TokenId token);
+    using TokenService::acquire;
 
-    /** Release; unknown/unheld tokens are ignored (Android semantics). */
+    /**
+     * Release; unknown/unheld tokens are ignored (Android semantics),
+     * but a live unheld lock's release IPC is still charged.
+     */
     void release(TokenId token);
 
-    /** Kernel object death (app exit / GC of the wrapper). */
-    void destroy(TokenId token);
-
-    bool isHeld(TokenId token) const;
-
-    // ---- Interposition (same-address-space, no IPC) -------------------
-
-    /** Pull @p token out of the kernel array; the app keeps "holding" it. */
-    void suspend(TokenId token);
-
-    /** Undo suspend(); re-enables the lock if the app still holds it. */
-    void restore(TokenId token);
-
-    bool isSuspended(TokenId token) const;
+    // ---- Interposition ----------------------------------------------
 
     /**
-     * Whether the token currently keeps hardware awake:
-     * held && !suspended && filter(uid).
-     */
-    bool isEnabled(TokenId token) const;
-
-    /**
-     * Doze-style global gate. Pass nullptr to clear. The filter is
-     * re-evaluated immediately and on every subsequent state change.
      * The typed variant lets a policy exempt lock levels (Doze defers
      * background CPU but never forces the panel off).
      */
-    void setGlobalFilter(std::function<bool(Uid)> filter);
+    using TokenService::setGlobalFilter;
     void
-    setGlobalFilter(std::function<bool(Uid, WakeLockType)> filter);
-
-    /** Remove any global gate (avoids nullptr-overload ambiguity). */
-    void clearGlobalFilter();
-
-    /** Re-apply the global filter after external state changed. */
-    void refilter();
-
-    void addListener(ResourceListener *listener);
+    setGlobalFilter(std::function<bool(Uid, WakeLockType)> filter)
+    {
+        installFilter(std::move(filter));
+    }
 
     // ---- Metrics --------------------------------------------------------
 
-    /** App-perspective holding time (held, regardless of suspension). */
-    double heldSeconds(Uid uid);
+    /** Per-token held and enabled time (the wakelock proxies' holding). */
     double heldSecondsForToken(TokenId token);
-
-    /** Effective time the token kept hardware awake. */
-    double enabledSeconds(Uid uid);
     double enabledSecondsForToken(TokenId token);
 
-    std::uint64_t acquireCount(Uid uid) const;
-    std::uint64_t releaseCount(Uid uid) const;
-
-    /** Uids with at least one enabled partial or full lock. */
-    std::vector<Uid> enabledOwners() const;
-
-    /** Tokens @p uid currently holds (acquired, not released/destroyed). */
-    std::vector<TokenId> heldTokens(Uid uid) const;
-
-    Uid ownerOf(TokenId token) const;
     const std::string &tagOf(TokenId token) const;
     WakeLockType typeOf(TokenId token) const;
 
@@ -125,37 +98,17 @@ class PowerManagerService : public Service
      */
     void setFullLockCallback(std::function<void(std::vector<Uid>)> cb);
 
+    const char *tokenKind() const override { return "wakelock"; }
+
   private:
-    struct Lock {
-        Uid uid = kInvalidUid;
-        WakeLockType type = WakeLockType::Partial;
-        std::string tag;
-        bool held = false;
-        bool suspended = false;
-        bool enabled = false;
-        double heldSeconds = 0.0;
-        double enabledSeconds = 0.0;
-    };
+    friend TokenService;
 
-    /** Integrate per-token and per-uid times up to now. */
-    void advance();
+    void accrue(WakeLockRecord &lock, double dt);
 
-    /** Recompute enabled flags and push wake sources to hardware. */
-    void apply();
+    /** Push wake sources to the CPU and full-lock owners to the display. */
+    void publish();
 
-    bool allowedByFilter(Uid uid, WakeLockType type) const;
-
-    TokenAllocator &tokens_;
-    std::map<TokenId, Lock> locks_;
-    std::function<bool(Uid, WakeLockType)> filter_;
     std::function<void(std::vector<Uid>)> fullLockCb_;
-    std::vector<ResourceListener *> listeners_;
-
-    sim::Time lastAdvance_;
-    std::map<Uid, double> heldSeconds_;
-    std::map<Uid, double> enabledSeconds_;
-    std::map<Uid, std::uint64_t> acquireCount_;
-    std::map<Uid, std::uint64_t> releaseCount_;
     std::vector<Uid> lastFullOwners_;
 };
 

@@ -15,11 +15,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <vector>
 
-#include "os/binder.h"
-#include "os/resource_listener.h"
-#include "os/service.h"
+#include "os/token_service.h"
 #include "power/sensor_model.h"
 
 namespace leaseos::os {
@@ -32,10 +29,21 @@ class SensorEventListener
     virtual void onSensorEvent(power::SensorType type, double value) = 0;
 };
 
+/** One sensor listener registration. */
+struct SensorRegistration : TokenRecord {
+    power::SensorType type = power::SensorType::Accelerometer;
+    sim::Time rate;
+    SensorEventListener *listener = nullptr;
+    bool tickScheduled = false;
+};
+
 /**
- * Sensor registration service with interposition hooks.
+ * Sensor registration service with interposition hooks. An enabled
+ * registration is registered with the sensor hardware; enabledSeconds is
+ * the registered time.
  */
-class SensorManagerService : public Service
+class SensorManagerService final
+    : public TokenService<SensorManagerService, SensorRegistration>
 {
   public:
     /** Ground-truth reading source (from env::MotionModel). */
@@ -51,60 +59,28 @@ class SensorManagerService : public Service
 
     TokenId registerListener(Uid uid, power::SensorType type,
                              sim::Time rate, SensorEventListener *listener);
-    void unregisterListener(TokenId token);
-    void destroy(TokenId token);
-    bool isActive(TokenId token) const;
-
-    // ---- Interposition ---------------------------------------------------
-
-    void suspend(TokenId token);
-    void restore(TokenId token);
-    bool isSuspended(TokenId token) const;
-    bool isEnabled(TokenId token) const;
-    void setGlobalFilter(std::function<bool(Uid)> filter);
-    void refilter();
-    void addListener(ResourceListener *listener);
+    void unregisterListener(TokenId token) { release(token); }
 
     // ---- Metrics --------------------------------------------------------
 
-    /** Time @p uid has had an enabled registration outstanding. */
-    double registeredSeconds(Uid uid);
-    std::uint64_t eventCount(Uid uid) const;
-    Uid ownerOf(TokenId token) const;
+    std::uint64_t eventCount(Uid uid) const
+    {
+        return perUid(eventCount_, uid);
+    }
 
-    /** Listener registrations @p uid still has active (not unregistered). */
-    std::vector<TokenId> activeRegistrations(Uid uid) const;
+    const char *tokenKind() const override { return "sensor listener"; }
 
   private:
-    struct Registration {
-        Uid uid = kInvalidUid;
-        power::SensorType type = power::SensorType::Accelerometer;
-        sim::Time rate;
-        SensorEventListener *listener = nullptr;
-        bool active = false;
-        bool suspended = false;
-        bool enabled = false;
-        bool tickScheduled = false;
-    };
+    friend TokenService;
 
-    void advance();
-    void apply();
-    bool allowedByFilter(Uid uid) const;
+    void enable(TokenId token, SensorRegistration &reg);
+    void disable(TokenId token, SensorRegistration &reg);
+
     void scheduleTick(TokenId token);
     void deliverTick(TokenId token);
 
     power::SensorModel &sensors_;
-    TokenAllocator &tokens_;
     ReadingFn readingFn_;
-    std::map<TokenId, Registration> regs_;
-    std::function<bool(Uid)> filter_;
-    std::vector<ResourceListener *> listeners_;
-
-    /** Hardware registrations we currently hold, to diff on apply(). */
-    std::map<TokenId, std::pair<power::SensorType, Uid>> hwRegs_;
-
-    sim::Time lastAdvance_;
-    std::map<Uid, double> registeredSeconds_;
     std::map<Uid, std::uint64_t> eventCount_;
 };
 

@@ -10,6 +10,7 @@
  * CPU's screen wake source.
  */
 
+#include <array>
 #include <memory>
 
 #include "os/activity_manager_service.h"
@@ -56,6 +57,16 @@ class SystemServer
     AudioSessionService &audioSessions() { return *audioSessions_; }
     BluetoothService &bluetoothService() { return *bluetoothService_; }
     power::AudioModel &audio() { return audio_; }
+
+    /** The six token services, in construction order. */
+    std::array<ResourceService *, 6>
+    resourceServices()
+    {
+        return {powerManager_.get(),   locationManager_.get(),
+                sensorManager_.get(),  wifiManager_.get(),
+                audioSessions_.get(),  bluetoothService_.get()};
+    }
+
     TokenAllocator &tokens() { return tokens_; }
 
   private:

@@ -1,6 +1,5 @@
 #include "os/wifi_manager_service.h"
 
-#include <set>
 #include <utility>
 
 namespace leaseos::os {
@@ -9,189 +8,17 @@ WifiManagerService::WifiManagerService(sim::Simulator &sim,
                                        power::CpuModel &cpu,
                                        power::RadioModel &radio,
                                        TokenAllocator &tokens)
-    : Service(sim, cpu, "wifi"), radio_(radio), tokens_(tokens),
-      lastAdvance_(sim.now())
+    : TokenService(sim, cpu, "wifi", tokens), radio_(radio)
 {
-}
-
-void
-WifiManagerService::advance()
-{
-    sim::Time now = sim_.now();
-    if (now <= lastAdvance_) {
-        lastAdvance_ = now;
-        return;
-    }
-    double dt = (now - lastAdvance_).seconds();
-    for (auto &[token, lock] : locks_) {
-        if (lock.held) heldSeconds_[lock.uid] += dt;
-        if (lock.enabled) enabledSeconds_[lock.uid] += dt;
-    }
-    lastAdvance_ = now;
-}
-
-bool
-WifiManagerService::allowedByFilter(Uid uid) const
-{
-    return !filter_ || filter_(uid);
-}
-
-void
-WifiManagerService::apply()
-{
-    std::set<Uid> owners;
-    for (auto &[token, lock] : locks_) {
-        lock.enabled =
-            lock.held && !lock.suspended && allowedByFilter(lock.uid);
-        if (lock.enabled) owners.insert(lock.uid);
-    }
-    radio_.setWifiLockOwners({owners.begin(), owners.end()});
 }
 
 TokenId
 WifiManagerService::createWifiLock(Uid uid, std::string tag)
 {
-    chargeIpc(uid, kBinderIpcLatency);
-    advance();
-    TokenId token = tokens_.next();
-    Lock lock;
+    WifiLockRecord lock;
     lock.uid = uid;
     lock.tag = std::move(tag);
-    locks_.emplace(token, std::move(lock));
-    for (auto *l : listeners_) l->onCreated(token, uid);
-    return token;
-}
-
-void
-WifiManagerService::acquire(TokenId token)
-{
-    auto it = locks_.find(token);
-    if (it == locks_.end()) return;
-    Lock &lock = it->second;
-    chargeIpc(lock.uid, kResourceIpcLatency);
-    advance();
-    lock.held = true;
-    ++acquireCount_[lock.uid];
-    apply();
-    for (auto *l : listeners_) l->onAcquired(token, lock.uid);
-}
-
-void
-WifiManagerService::release(TokenId token)
-{
-    auto it = locks_.find(token);
-    if (it == locks_.end() || !it->second.held) return;
-    Lock &lock = it->second;
-    chargeIpc(lock.uid, kBinderIpcLatency);
-    advance();
-    lock.held = false;
-    apply();
-    for (auto *l : listeners_) l->onReleased(token, lock.uid);
-}
-
-void
-WifiManagerService::destroy(TokenId token)
-{
-    auto it = locks_.find(token);
-    if (it == locks_.end()) return;
-    advance();
-    Uid uid = it->second.uid;
-    locks_.erase(it);
-    tokens_.retire(token);
-    apply();
-    for (auto *l : listeners_) l->onDestroyed(token, uid);
-}
-
-bool
-WifiManagerService::isHeld(TokenId token) const
-{
-    auto it = locks_.find(token);
-    return it != locks_.end() && it->second.held;
-}
-
-void
-WifiManagerService::suspend(TokenId token)
-{
-    auto it = locks_.find(token);
-    if (it == locks_.end() || it->second.suspended) return;
-    advance();
-    it->second.suspended = true;
-    apply();
-}
-
-void
-WifiManagerService::restore(TokenId token)
-{
-    auto it = locks_.find(token);
-    if (it == locks_.end() || !it->second.suspended) return;
-    advance();
-    it->second.suspended = false;
-    apply();
-}
-
-bool
-WifiManagerService::isSuspended(TokenId token) const
-{
-    auto it = locks_.find(token);
-    return it != locks_.end() && it->second.suspended;
-}
-
-bool
-WifiManagerService::isEnabled(TokenId token) const
-{
-    auto it = locks_.find(token);
-    return it != locks_.end() && it->second.enabled;
-}
-
-void
-WifiManagerService::setGlobalFilter(std::function<bool(Uid)> filter)
-{
-    advance();
-    filter_ = std::move(filter);
-    apply();
-}
-
-void
-WifiManagerService::refilter()
-{
-    advance();
-    apply();
-}
-
-void
-WifiManagerService::addListener(ResourceListener *listener)
-{
-    listeners_.push_back(listener);
-}
-
-double
-WifiManagerService::heldSeconds(Uid uid)
-{
-    advance();
-    auto it = heldSeconds_.find(uid);
-    return it == heldSeconds_.end() ? 0.0 : it->second;
-}
-
-double
-WifiManagerService::enabledSeconds(Uid uid)
-{
-    advance();
-    auto it = enabledSeconds_.find(uid);
-    return it == enabledSeconds_.end() ? 0.0 : it->second;
-}
-
-std::uint64_t
-WifiManagerService::acquireCount(Uid uid) const
-{
-    auto it = acquireCount_.find(uid);
-    return it == acquireCount_.end() ? 0 : it->second;
-}
-
-Uid
-WifiManagerService::ownerOf(TokenId token) const
-{
-    auto it = locks_.find(token);
-    return it == locks_.end() ? kInvalidUid : it->second.uid;
+    return create(std::move(lock), kBinderIpcLatency, false);
 }
 
 } // namespace leaseos::os

@@ -10,23 +10,23 @@
  * network was not Wi-Fi. Structure mirrors PowerManagerService.
  */
 
-#include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
-#include <vector>
 
-#include "os/binder.h"
-#include "os/resource_listener.h"
-#include "os/service.h"
+#include "os/token_service.h"
 #include "power/radio_model.h"
 
 namespace leaseos::os {
 
+/** One Wi-Fi lock kernel object. */
+struct WifiLockRecord : TokenRecord {
+    std::string tag;
+};
+
 /**
  * Wi-Fi lock service with interposition hooks.
  */
-class WifiManagerService : public Service
+class WifiManagerService final
+    : public TokenService<WifiManagerService, WifiLockRecord>
 {
   public:
     WifiManagerService(sim::Simulator &sim, power::CpuModel &cpu,
@@ -34,52 +34,19 @@ class WifiManagerService : public Service
 
     // ---- App-facing API ------------------------------------------------
 
+    /** Create a Wi-Fi lock kernel object; does not acquire it. */
     TokenId createWifiLock(Uid uid, std::string tag);
-    void acquire(TokenId token);
-    void release(TokenId token);
-    void destroy(TokenId token);
-    bool isHeld(TokenId token) const;
+    using TokenService::acquire;
+    using TokenService::release;
 
-    // ---- Interposition --------------------------------------------------
-
-    void suspend(TokenId token);
-    void restore(TokenId token);
-    bool isSuspended(TokenId token) const;
-    bool isEnabled(TokenId token) const;
-    void setGlobalFilter(std::function<bool(Uid)> filter);
-    void refilter();
-    void addListener(ResourceListener *listener);
-
-    // ---- Metrics --------------------------------------------------------
-
-    double heldSeconds(Uid uid);
-    double enabledSeconds(Uid uid);
-    std::uint64_t acquireCount(Uid uid) const;
-    Uid ownerOf(TokenId token) const;
+    const char *tokenKind() const override { return "Wi-Fi lock"; }
 
   private:
-    struct Lock {
-        Uid uid = kInvalidUid;
-        std::string tag;
-        bool held = false;
-        bool suspended = false;
-        bool enabled = false;
-    };
+    friend TokenService;
 
-    void advance();
-    void apply();
-    bool allowedByFilter(Uid uid) const;
+    void publish() { radio_.setWifiLockOwners(enabledOwners()); }
 
     power::RadioModel &radio_;
-    TokenAllocator &tokens_;
-    std::map<TokenId, Lock> locks_;
-    std::function<bool(Uid)> filter_;
-    std::vector<ResourceListener *> listeners_;
-
-    sim::Time lastAdvance_;
-    std::map<Uid, double> heldSeconds_;
-    std::map<Uid, double> enabledSeconds_;
-    std::map<Uid, std::uint64_t> acquireCount_;
 };
 
 } // namespace leaseos::os

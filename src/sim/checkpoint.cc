@@ -78,9 +78,8 @@ std::vector<std::uint8_t>
 CheckpointWriter::finish()
 {
     if (inSection_) throw CheckpointError("finish() with a section open");
-    std::vector<std::uint8_t> out;
+    std::vector<std::uint8_t> out(kMagic, kMagic + 8);
     out.reserve(kHeaderSize + buf_.size());
-    out.insert(out.end(), kMagic, kMagic + 8);
     auto le = [&out](std::uint64_t v, std::size_t n) {
         for (std::size_t i = 0; i < n; ++i)
             out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));

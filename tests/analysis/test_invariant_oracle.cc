@@ -11,6 +11,9 @@
 #include <gtest/gtest.h>
 
 #include "analysis/invariants.h"
+#include "apps/buggy/beacon_scanner.h"
+#include "apps/buggy/connectbot_wifi.h"
+#include "apps/buggy/facebook_audio.h"
 #include "apps/registry.h"
 #include "apps/synthetic/synthetic_apps.h"
 #include "harness/device.h"
@@ -167,6 +170,33 @@ TEST(InvariantOracle, LeakyAppIsFlaggedAtTeardown)
     EXPECT_EQ(oracle.violations().front().check, "teardown-balance");
     EXPECT_NE(oracle.violations().front().detail.find("wakelock"),
               std::string::npos);
+}
+
+TEST(InvariantOracle, LeakedWifiAudioAndBluetoothTokensAreFlagged)
+{
+    // Every resource service is checked, not just wakelocks, GPS and
+    // sensors: each of these apps still holds its token when it stops.
+    harness::Device device;
+    auto &wifi = device.install<apps::ConnectBotWifi>();
+    auto &audio = device.install<apps::FacebookAudio>();
+    auto &scanner = device.install<apps::BeaconScanner>();
+    device.start();
+    device.runFor(1_min);
+
+    const std::pair<Uid, const char *> leaks[] = {
+        {wifi.uid(), "Wi-Fi lock"},
+        {audio.uid(), "audio session"},
+        {scanner.uid(), "Bluetooth scan"}};
+    for (const auto &[uid, kind] : leaks) {
+        InvariantOracle oracle = recordOracle();
+        oracle.checkAppTeardown(device.simulator().now(), device.server(),
+                                uid);
+        ASSERT_EQ(oracle.violations().size(), 1u) << kind;
+        EXPECT_EQ(oracle.violations().front().check, "teardown-balance");
+        EXPECT_NE(oracle.violations().front().detail.find(kind),
+                  std::string::npos)
+            << oracle.violations().front().detail;
+    }
 }
 
 TEST(InvariantOracle, CleanTeardownPasses)

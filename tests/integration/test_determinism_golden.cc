@@ -6,9 +6,10 @@
  * std::priority_queue + std::unordered_set EventQueue. The slot-based
  * intrusive-heap queue (and any future core change) must reproduce them
  * byte for byte: one full Table-5 mitigation cell, one multi-spec
- * ParallelRunner sweep, and a 96-hour sweep of the GPS retry apps (whose
+ * ParallelRunner sweep, a 96-hour sweep of the GPS retry apps (whose
  * removed-but-not-destroyed location requests pile up over long
- * horizons), serialised at full precision.
+ * horizons), and one app per token service under every mitigation mode,
+ * the last two serialised at full precision.
  *
  * Regenerating (only when an *intended* behaviour change lands):
  *
@@ -25,6 +26,8 @@
 #include <sstream>
 #include <string>
 
+#include "apps/buggy/beacon_scanner.h"
+#include "apps/buggy/facebook_audio.h"
 #include "apps/registry.h"
 #include "harness/experiment.h"
 #include "harness/result_sink.h"
@@ -194,6 +197,57 @@ TEST(DeterminismGoldenTest, GpsRetryAppsLongHorizonByteIdentical)
     for (const auto &r : results) json.addRow(resultRow(r, 17));
     json.finish();
     checkAgainstGolden("gps_retry_96h.json", json.document());
+}
+
+TEST(DeterminismGoldenTest, TokenServicesUnderEveryModeByteIdentical)
+{
+    // One app per token service (screen and partial wakelocks, Wi-Fi
+    // lock, GPS request, sensor listener, audio session, Bluetooth scan)
+    // under all six mitigation modes: the only golden that runs Doze,
+    // DefDroid and the one-shot throttler, or touches audio and
+    // Bluetooth at all.
+    const MitigationMode modes[] = {
+        MitigationMode::None,           MitigationMode::LeaseOS,
+        MitigationMode::Doze,           MitigationMode::DozeAggressive,
+        MitigationMode::DefDroid,       MitigationMode::OneShotThrottle};
+    std::vector<apps::BuggyAppSpec> subjects;
+    for (const char *key :
+         {"torch", "k9", "connectbot-wifi", "gpslogger", "tapandturn"})
+        subjects.push_back(apps::buggySpec(key));
+    auto noTrigger = [](Device &) {};
+    subjects.push_back({"facebook-audio", "Facebook(audio)", "social",
+                        "audio", "LHB",
+                        [](Device &d) -> app::App & {
+                            return d.install<apps::FacebookAudio>();
+                        },
+                        noTrigger});
+    subjects.push_back({"beacon-scanner", "BeaconScanner", "tool",
+                        "Bluetooth", "LHB",
+                        [](Device &d) -> app::App & {
+                            return d.install<apps::BeaconScanner>();
+                        },
+                        noTrigger});
+
+    MitigationRunOptions opt;
+    std::vector<RunSpec> specs;
+    for (const auto &subject : subjects)
+        for (MitigationMode mode : modes)
+            specs.push_back(mitigationCellSpec(subject, mode, opt));
+
+    RunnerOptions options;
+    options.jobs = 4;
+    options.baseSeed = 0x70ce5ULL;
+    ParallelRunner runner(options);
+    auto results = runner.run(specs);
+
+    JsonSink json;
+    json.begin("golden_token_services_modes",
+               "torch/k9/connectbot-wifi/gpslogger/tapandturn/"
+               "facebook-audio/beacon-scanner x all six modes, 30 min, "
+               "jobs=4");
+    for (const auto &r : results) json.addRow(resultRow(r, 17));
+    json.finish();
+    checkAgainstGolden("token_services_modes.json", json.document());
 }
 
 } // namespace

@@ -24,7 +24,7 @@ struct AudioSessionTest : OsFixture {
 TEST_F(AudioSessionTest, OpenSessionKeepsCpuAwake)
 {
     TokenId t = svc.openSession(kApp);
-    EXPECT_TRUE(svc.isOpen(t));
+    EXPECT_TRUE(svc.isHeld(t));
     EXPECT_TRUE(cpu.isAwake());
     svc.closeSession(t);
     sim.runFor(1_s);
@@ -54,7 +54,7 @@ TEST_F(AudioSessionTest, SilentOpenSessionStillCosts)
         (AudioSessionService::kPipelineMw + profile.cpuIdleAwakeMw) * 55.0;
     acc.sync();
     EXPECT_GT(acc.uidEnergyMj(kApp), expected_min);
-    EXPECT_NEAR(svc.openSeconds(kApp), 60.0, 0.5);
+    EXPECT_NEAR(svc.enabledSeconds(kApp), 60.0, 0.5);
     EXPECT_DOUBLE_EQ(svc.playingSeconds(kApp), 0.0);
     svc.closeSession(t);
 }
@@ -87,7 +87,7 @@ TEST_F(AudioSessionTest, DestroyCleansUp)
 {
     TokenId t = svc.openSession(kApp);
     svc.destroy(t);
-    EXPECT_FALSE(svc.isOpen(t));
+    EXPECT_FALSE(svc.isHeld(t));
     EXPECT_EQ(svc.ownerOf(t), kInvalidUid);
     sim.runFor(1_s);
     EXPECT_FALSE(cpu.isAwake());

@@ -34,7 +34,7 @@ struct BluetoothTest : OsFixture {
 TEST_F(BluetoothTest, ScanDrawsPowerAndDiscovers)
 {
     TokenId t = svc.startScan(kApp, &listener);
-    EXPECT_TRUE(svc.isActive(t));
+    EXPECT_TRUE(svc.isHeld(t));
     EXPECT_TRUE(bluetooth.scanning());
     sim.runFor(1_min);
     EXPECT_GT(listener.found, 0);

@@ -1,11 +1,8 @@
 /**
  * @file
  * Unit tests for LocationManagerService: fixes, suspension, metrics,
- * and removed-but-not-destroyed requests.
+ * and the delivery tick of a removed request.
  */
-
-#include <utility>
-#include <vector>
 
 #include "os_fixture.h"
 
@@ -36,7 +33,7 @@ struct LocationManagerTest : OsFixture {
 TEST_F(LocationManagerTest, RequestStartsGpsSearch)
 {
     TokenId t = lms.requestLocationUpdates(kApp, 10_s, &listener);
-    EXPECT_TRUE(lms.isActive(t));
+    EXPECT_TRUE(lms.isHeld(t));
     EXPECT_EQ(gps.state(), power::GpsModel::State::Searching);
     sim.runFor(30_s);
     EXPECT_EQ(gps.state(), power::GpsModel::State::Tracking);
@@ -48,7 +45,7 @@ TEST_F(LocationManagerTest, RemoveUpdatesStopsGps)
     TokenId t = lms.requestLocationUpdates(kApp, 10_s, &listener);
     sim.runFor(30_s);
     lms.removeUpdates(t);
-    EXPECT_FALSE(lms.isActive(t));
+    EXPECT_FALSE(lms.isHeld(t));
     EXPECT_EQ(gps.state(), power::GpsModel::State::Off);
     int fixes = listener.fixes;
     sim.runFor(60_s);
@@ -61,7 +58,7 @@ TEST_F(LocationManagerTest, BadSignalYieldsNoFixTime)
     lms.requestLocationUpdates(kApp, 10_s, &listener);
     sim.runFor(1_min);
     EXPECT_EQ(listener.fixes, 0);
-    EXPECT_NEAR(lms.requestSeconds(kApp), 60.0, 0.5);
+    EXPECT_NEAR(lms.enabledSeconds(kApp), 60.0, 0.5);
     EXPECT_NEAR(lms.noFixSeconds(kApp), 60.0, 0.5);
 }
 
@@ -70,7 +67,7 @@ TEST_F(LocationManagerTest, GoodSignalHasLowNoFixShare)
     lms.requestLocationUpdates(kApp, 10_s, &listener);
     sim.runFor(10_min);
     double no_fix = lms.noFixSeconds(kApp);
-    double total = lms.requestSeconds(kApp);
+    double total = lms.enabledSeconds(kApp);
     EXPECT_LT(no_fix / total, 0.05);
     EXPECT_EQ(lms.fixCount(kApp), static_cast<std::uint64_t>(listener.fixes));
 }
@@ -132,7 +129,7 @@ TEST_F(LocationManagerTest, SharedGpsAcrossApps)
     EXPECT_GT(listener.fixes, 0);
     EXPECT_GT(l2.fixes, 0);
     // Both uids accrue request time and share GPS power.
-    EXPECT_GT(lms.requestSeconds(kApp2), 0.0);
+    EXPECT_GT(lms.enabledSeconds(kApp2), 0.0);
     acc.sync();
     EXPECT_NEAR(acc.uidEnergyMj(kApp), acc.uidEnergyMj(kApp2), 5.0);
 }
@@ -141,7 +138,7 @@ TEST_F(LocationManagerTest, DestroyCleansUp)
 {
     TokenId t = lms.requestLocationUpdates(kApp, 10_s, &listener);
     lms.destroy(t);
-    EXPECT_FALSE(lms.isActive(t));
+    EXPECT_FALSE(lms.isHeld(t));
     EXPECT_EQ(gps.state(), power::GpsModel::State::Off);
     EXPECT_EQ(lms.ownerOf(t), kInvalidUid);
 }
@@ -151,101 +148,12 @@ TEST_F(LocationManagerTest, RequestCountTracksCalls)
     TokenId a = lms.requestLocationUpdates(kApp, 10_s, &listener);
     lms.removeUpdates(a);
     lms.requestLocationUpdates(kApp, 10_s, &listener);
-    EXPECT_EQ(lms.requestCount(kApp), 2u);
+    EXPECT_EQ(lms.acquireCount(kApp), 2u);
 }
 
 // ---- Removed (not destroyed) requests ---------------------------------------
-
-struct LifecycleRecorder : ResourceListener {
-    std::vector<std::pair<TokenId, Uid>> destroyed;
-
-    void
-    onDestroyed(TokenId token, Uid uid) override
-    {
-        destroyed.emplace_back(token, uid);
-    }
-};
-
-TEST_F(LocationManagerTest, ChurnScansOnlyOutstandingRequests)
-{
-    // The retry-app shape: request, give up, request again, never destroy.
-    TokenId keeper = lms.requestLocationUpdates(kApp2, 10_s, &listener);
-    TokenId last = kInvalidToken;
-    for (int i = 0; i < 10000; ++i) {
-        last = lms.requestLocationUpdates(kApp, 10_s, &listener);
-        sim.runFor(1_s);
-        lms.removeUpdates(last);
-    }
-    EXPECT_EQ(lms.outstandingCount(), 1u);
-    TokenId fresh = lms.requestLocationUpdates(kApp, 10_s, &listener);
-    EXPECT_EQ(lms.outstandingCount(), 2u);
-    EXPECT_EQ(lms.activeRequests(kApp), std::vector<TokenId>{fresh});
-    EXPECT_EQ(lms.activeRequests(kApp2), std::vector<TokenId>{keeper});
-    EXPECT_FALSE(lms.isActive(last));
-    EXPECT_EQ(lms.requestCount(kApp), 10001u);
-}
-
-TEST_F(LocationManagerTest, RestoreAfterRemoveClearsSuspensionAndRepublishes)
-{
-    int scans = 0;
-    lms.setGlobalFilter([&scans](Uid) {
-        ++scans;
-        return true;
-    });
-    lms.requestLocationUpdates(kApp2, 10_s, &listener);
-    TokenId t = lms.requestLocationUpdates(kApp, 10_s, &listener);
-    lms.suspend(t);
-    lms.removeUpdates(t);
-    EXPECT_TRUE(lms.isSuspended(t));
-
-    // A lease proxy restores the token when the deferral ends, even though
-    // the app removed the request meanwhile: the owner set is re-published
-    // (one filter call per outstanding request) without re-enabling it.
-    scans = 0;
-    lms.restore(t);
-    EXPECT_FALSE(lms.isSuspended(t));
-    EXPECT_EQ(scans, 1);
-    EXPECT_FALSE(lms.isEnabled(t));
-    EXPECT_FALSE(lms.isActive(t));
-    lms.restore(t); // already restored: no-op
-    EXPECT_EQ(scans, 1);
-    lms.suspend(t); // suspending a removed token re-publishes too
-    EXPECT_TRUE(lms.isSuspended(t));
-    EXPECT_EQ(scans, 2);
-    EXPECT_NE(gps.state(), power::GpsModel::State::Off); // kApp2's request
-}
-
-TEST_F(LocationManagerTest, RefilterNeverReenablesRemovedRequest)
-{
-    TokenId t = lms.requestLocationUpdates(kApp, 10_s, &listener);
-    sim.runFor(30_s);
-    lms.removeUpdates(t);
-    double requested = lms.requestSeconds(kApp);
-    int fixes = listener.fixes;
-    lms.setGlobalFilter([](Uid) { return true; });
-    lms.refilter();
-    EXPECT_FALSE(lms.isEnabled(t));
-    EXPECT_EQ(gps.state(), power::GpsModel::State::Off);
-    sim.runFor(60_s);
-    EXPECT_EQ(listener.fixes, fixes);
-    EXPECT_DOUBLE_EQ(lms.requestSeconds(kApp), requested);
-}
-
-TEST_F(LocationManagerTest, DestroyRemovedRequestRetiresToken)
-{
-    LifecycleRecorder recorder;
-    lms.addListener(&recorder);
-    TokenId t = lms.requestLocationUpdates(kApp2, 10_s, &listener);
-    lms.removeUpdates(t);
-    EXPECT_TRUE(server.tokens().live(t));
-    lms.destroy(t);
-    ASSERT_EQ(recorder.destroyed.size(), 1u);
-    EXPECT_EQ(recorder.destroyed[0], std::make_pair(t, kApp2));
-    EXPECT_FALSE(server.tokens().live(t));
-    EXPECT_EQ(lms.ownerOf(t), kInvalidUid);
-    lms.destroy(t); // already gone: no second notification
-    EXPECT_EQ(recorder.destroyed.size(), 1u);
-}
+// The lifecycle cases every service shares (churn, suspend -> remove ->
+// restore, refilter, destroy, ownerOf) are in test_token_lifecycle.cc.
 
 TEST_F(LocationManagerTest, PendingTickForRemovedRequestIsNoop)
 {
@@ -258,14 +166,6 @@ TEST_F(LocationManagerTest, PendingTickForRemovedRequestIsNoop)
     EXPECT_EQ(listener.fixes, fixes);
     EXPECT_EQ(lms.fixCount(kApp), static_cast<std::uint64_t>(fixes));
     EXPECT_EQ(sim.pendingEvents(), 0u); // and schedules no successor
-}
-
-TEST_F(LocationManagerTest, OwnerOfRemovedRequest)
-{
-    TokenId t = lms.requestLocationUpdates(kApp2, 10_s, &listener);
-    lms.removeUpdates(t);
-    EXPECT_FALSE(lms.isActive(t));
-    EXPECT_EQ(lms.ownerOf(t), kApp2);
 }
 
 } // namespace

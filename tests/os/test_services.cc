@@ -37,7 +37,7 @@ TEST_F(SensorManagerTest, RegistrationActivatesSensorAndDelivers)
 {
     TokenId t = sms.registerListener(kApp, power::SensorType::Orientation,
                                      1_s, &listener);
-    EXPECT_TRUE(sms.isActive(t));
+    EXPECT_TRUE(sms.isHeld(t));
     EXPECT_TRUE(sensors.active(power::SensorType::Orientation));
     sim.runFor(10_s);
     EXPECT_EQ(listener.events, 10);
@@ -78,7 +78,7 @@ TEST_F(SensorManagerTest, RegisteredSecondsAccrue)
     sim.runFor(30_s);
     sms.unregisterListener(t);
     sim.runFor(30_s);
-    EXPECT_NEAR(sms.registeredSeconds(kApp), 30.0, 0.1);
+    EXPECT_NEAR(sms.enabledSeconds(kApp), 30.0, 0.1);
 }
 
 TEST_F(SensorManagerTest, DestroyReleasesHardware)

@@ -1138,9 +1138,9 @@ TEST(Driver, WholeRepoIsCleanWithJustifiedSuppressions)
 TEST(Rules, RulesDocInSync)
 {
     // The committed rule-inventory doc is generated from allRules();
-    // this gate keeps it from drifting. Regenerate with:
-    //   ./build/tools/leaselint/leaselint --rules-doc \
-    //     > tools/leaselint/RULES.md
+    // this gate keeps it from drifting. Regenerate by redirecting
+    // `./build/tools/leaselint/leaselint --rules-doc` into
+    // tools/leaselint/RULES.md.
     std::filesystem::path doc = std::filesystem::path(
         LEASELINT_TEST_REPO_ROOT) / "tools" / "leaselint" / "RULES.md";
     std::ifstream in(doc, std::ios::binary);

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <utility>
 
 namespace leaselint {
 
@@ -35,6 +36,12 @@ struct FixIt {
 };
 
 struct Finding {
+    Finding() = default;
+    Finding(std::string rule, std::string path, std::size_t line,
+            std::string message, std::optional<FixIt> fix = std::nullopt)
+        : rule(std::move(rule)), path(std::move(path)), line(line),
+          message(std::move(message)), fix(std::move(fix)) {}
+
     std::string rule;
     std::string path;
     std::size_t line = 0;
