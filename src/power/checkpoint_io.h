@@ -34,7 +34,7 @@ writeUids(sim::CheckpointWriter &w, const std::vector<Uid> &uids)
 inline std::vector<Uid>
 readUids(sim::CheckpointReader &r)
 {
-    std::uint64_t n = r.u64();
+    std::uint64_t n = r.count(sizeof(std::uint32_t));
     std::vector<Uid> uids;
     uids.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i)

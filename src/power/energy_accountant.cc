@@ -213,7 +213,8 @@ EnergyAccountant::restoreState(sim::CheckpointReader &r)
     sim::requireSectionVersion("energy", r.beginSection("energy"), 1);
     lastSync_ = r.time();
     totalMj_ = r.f64();
-    std::uint64_t uidCount = r.u64();
+    // Counts are checked against the bytes left before sizing anything.
+    std::uint64_t uidCount = r.count(4 + 8);
     uids_.clear();
     uidMj_.clear();
     uids_.reserve(uidCount);
@@ -235,11 +236,11 @@ EnergyAccountant::restoreState(sim::CheckpointReader &r)
                                        name + "' vs device '" + c.name +
                                        "'");
         c.energyMj = r.f64();
-        std::uint64_t slots = r.u64();
+        std::uint64_t slots = r.count(8);
         c.uidMj.assign(slots, 0.0);
         for (std::uint64_t i = 0; i < slots; ++i) c.uidMj[i] = r.f64();
         c.shares.clear();
-        std::uint64_t shareCount = r.u64();
+        std::uint64_t shareCount = r.count(4 + 4 + 8);
         for (std::uint64_t i = 0; i < shareCount; ++i) {
             Share s;
             s.uid = static_cast<Uid>(r.u32());

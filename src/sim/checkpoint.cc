@@ -1,5 +1,6 @@
 #include "sim/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace leaseos::sim {
@@ -8,23 +9,23 @@ namespace {
 
 constexpr char kMagic[8] = {'L', 'O', 'S', 'C', 'K', 'P', 'T', '1'};
 constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8 + 8;
+static_assert(CheckpointWriter::kInitialCapacity >= kHeaderSize);
 
-std::uint64_t
-readLe64(const std::uint8_t *p)
+// Host order is wire order (static_assert in checkpoint.h).
+template <typename T>
+T
+load(const std::uint8_t *p)
 {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    T v;
+    std::memcpy(&v, p, sizeof v);
     return v;
 }
 
-std::uint32_t
-readLe32(const std::uint8_t *p)
+template <typename T>
+void
+store(std::uint8_t *p, T v)
 {
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
+    std::memcpy(p, &v, sizeof v);
 }
 
 } // namespace
@@ -43,16 +44,24 @@ checkpointDigest(const std::uint8_t *data, std::size_t size)
 // ---- CheckpointWriter ----------------------------------------------------
 
 void
+CheckpointWriter::grow(std::size_t n)
+{
+    if (buf_.empty()) pos_ = kHeaderSize; // fresh blob: header goes first
+    std::size_t need = pos_ + n;
+    if (need <= buf_.size()) return;
+    buf_.resize(std::max({need, 2 * buf_.size(), kInitialCapacity}));
+}
+
+void
 CheckpointWriter::beginSection(std::string_view name, std::uint32_t version)
 {
     if (inSection_)
         throw CheckpointError("beginSection('" + std::string(name) +
                               "') inside an open section");
     inSection_ = true;
-    u32(static_cast<std::uint32_t>(name.size()));
-    buf_.insert(buf_.end(), name.begin(), name.end());
+    str(name);
     u32(version);
-    sectionBodyAt_ = buf_.size();
+    sectionBodyAt_ = pos_;
     u64(0); // body length, patched by endSection()
 }
 
@@ -61,35 +70,27 @@ CheckpointWriter::endSection()
 {
     if (!inSection_) throw CheckpointError("endSection() with none open");
     inSection_ = false;
-    std::uint64_t bodyLen = buf_.size() - sectionBodyAt_ - 8;
-    for (std::size_t i = 0; i < 8; ++i)
-        buf_[sectionBodyAt_ + i] =
-            static_cast<std::uint8_t>(bodyLen >> (8 * i));
-}
-
-void
-CheckpointWriter::str(std::string_view s)
-{
-    u32(static_cast<std::uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    store<std::uint64_t>(buf_.data() + sectionBodyAt_,
+                         pos_ - sectionBodyAt_ - 8);
 }
 
 std::vector<std::uint8_t>
 CheckpointWriter::finish()
 {
     if (inSection_) throw CheckpointError("finish() with a section open");
-    std::vector<std::uint8_t> out(kMagic, kMagic + 8);
-    out.reserve(kHeaderSize + buf_.size());
-    auto le = [&out](std::uint64_t v, std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i)
-            out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    };
-    le(kCheckpointFormatVersion, 4);
-    le(0, 4); // reserved
-    le(buf_.size(), 8);
-    le(checkpointDigest(buf_.data(), buf_.size()), 8);
-    out.insert(out.end(), buf_.begin(), buf_.end());
-    buf_.clear();
+    grow(0); // an empty blob still needs its header
+    const std::uint8_t *payload = buf_.data() + kHeaderSize;
+    const std::uint64_t payloadSize = pos_ - kHeaderSize;
+    std::uint8_t *h = buf_.data();
+    std::memcpy(h, kMagic, sizeof kMagic);
+    store<std::uint32_t>(h + 8, kCheckpointFormatVersion);
+    store<std::uint32_t>(h + 12, 0); // reserved
+    store<std::uint64_t>(h + 16, payloadSize);
+    store<std::uint64_t>(h + 24, checkpointDigest(payload, payloadSize));
+    buf_.resize(pos_);
+    std::vector<std::uint8_t> out;
+    out.swap(buf_); // leaves buf_ empty: the next write reserves a header
+    pos_ = 0;
     return out;
 }
 
@@ -104,19 +105,19 @@ CheckpointReader::CheckpointReader(const std::uint8_t *data,
                               std::to_string(size) + " bytes");
     if (std::memcmp(data, kMagic, 8) != 0)
         throw CheckpointError("not a checkpoint (bad magic)");
-    std::uint32_t format = readLe32(data + 8);
+    std::uint32_t format = load<std::uint32_t>(data + 8);
     if (format != kCheckpointFormatVersion)
         throw CheckpointError(
             "unsupported checkpoint format version " +
             std::to_string(format) + " (this build reads " +
             std::to_string(kCheckpointFormatVersion) + ")");
-    std::uint64_t payloadSize = readLe64(data + 16);
+    std::uint64_t payloadSize = load<std::uint64_t>(data + 16);
     if (kHeaderSize + payloadSize != size)
         throw CheckpointError(
             "checkpoint payload size mismatch: header says " +
             std::to_string(payloadSize) + ", file has " +
             std::to_string(size - kHeaderSize));
-    std::uint64_t digest = readLe64(data + 24);
+    std::uint64_t digest = load<std::uint64_t>(data + 24);
     std::uint64_t actual = checkpointDigest(data + kHeaderSize, payloadSize);
     if (digest != actual)
         throw CheckpointError("checkpoint digest mismatch (corrupt blob)");
@@ -127,8 +128,9 @@ CheckpointReader::CheckpointReader(const std::uint8_t *data,
 const std::uint8_t *
 CheckpointReader::take(std::size_t n)
 {
-    std::size_t limit = inSection_ ? sectionEnd_ : end_;
-    if (pos_ + n > limit)
+    // Compare against what is left, not pos_ + n: a corrupt length near
+    // 2^64 would wrap the sum past the limit.
+    if (n > remaining())
         throw CheckpointError("checkpoint read past " +
                               std::string(inSection_ ? "section" : "payload") +
                               " end");
@@ -157,7 +159,7 @@ CheckpointReader::nextSection(std::uint32_t &versionOut)
     std::string name(reinterpret_cast<const char *>(take(nameLen)), nameLen);
     versionOut = u32();
     std::uint64_t bodyLen = u64();
-    if (pos_ + bodyLen > end_)
+    if (bodyLen > end_ - pos_) // not pos_ + bodyLen: that can wrap
         throw CheckpointError("section '" + name + "' body truncated");
     sectionEnd_ = pos_ + bodyLen;
     inSection_ = true;
@@ -214,22 +216,19 @@ CheckpointReader::u8()
 std::uint32_t
 CheckpointReader::u32()
 {
-    return readLe32(take(4));
+    return load<std::uint32_t>(take(4));
 }
 
 std::uint64_t
 CheckpointReader::u64()
 {
-    return readLe64(take(8));
+    return load<std::uint64_t>(take(8));
 }
 
 double
 CheckpointReader::f64()
 {
-    std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
+    return load<double>(take(8));
 }
 
 std::string
@@ -237,6 +236,25 @@ CheckpointReader::str()
 {
     std::uint32_t n = u32();
     return std::string(reinterpret_cast<const char *>(take(n)), n);
+}
+
+void
+CheckpointReader::bytes(void *out, std::size_t n)
+{
+    const std::uint8_t *p = take(n);
+    if (n != 0) std::memcpy(out, p, n);
+}
+
+std::uint64_t
+CheckpointReader::count(std::size_t elemBytes)
+{
+    std::uint64_t n = u64();
+    if (n > remaining() / elemBytes)
+        throw CheckpointError(
+            "element count " + std::to_string(n) + " exceeds the " +
+            std::to_string(remaining()) + " bytes left in the " +
+            std::string(inSection_ ? "section" : "payload"));
+    return n;
 }
 
 // ---- File helpers --------------------------------------------------------

@@ -23,7 +23,8 @@
  *    pending closure callbacks are NOT serialized; components re-arm
  *    from recomputable deadlines instead).
  *
- * Wire format (all integers little-endian):
+ * Wire format (all integers little-endian, which is also the only host
+ * byte order this build accepts — see the static_assert below):
  *
  *     header:  "LOSCKPT1" | u32 format | u32 reserved(0)
  *              | u64 payloadSize | u64 fnv1a64(payload)
@@ -35,6 +36,7 @@
  * sections, or a component version they do not understand.
  */
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -45,6 +47,12 @@
 #include "sim/time.h"
 
 namespace leaseos::sim {
+
+// Writer and reader copy scalars and TimeSeries points between memory
+// and the blob as-is, so host order must be the wire order.
+static_assert(std::endian::native == std::endian::little,
+              "checkpoint encoding copies values in host byte order; the "
+              "wire format is little-endian");
 
 /** Any malformed-, truncated-, or mismatched-blob condition. */
 class CheckpointError : public std::runtime_error
@@ -65,10 +73,18 @@ std::uint64_t checkpointDigest(const std::uint8_t *data, std::size_t size);
  *
  * Usage: beginSection()/endSection() around each component's fields,
  * then finish() to get the framed blob. Sections cannot nest.
+ *
+ * The blob is built in place: the first write reserves the 32-byte
+ * frame header at the front of one buffer, every scalar is a single
+ * memcpy into storage that grows geometrically, and finish() patches the
+ * header and hands the buffer over without copying the payload.
  */
 class CheckpointWriter
 {
   public:
+    /** Buffer size reserved by the first write (header included). */
+    static constexpr std::size_t kInitialCapacity = 4096;
+
     CheckpointWriter() = default;
 
     /** Open a named component section. */
@@ -76,57 +92,51 @@ class CheckpointWriter
     /** Close the open section (patches its body length). */
     void endSection();
 
-    void
-    u8(std::uint8_t v)
-    {
-        buf_.push_back(v);
-    }
-    void
-    u32(std::uint32_t v)
-    {
-        appendLe(v);
-    }
-    void
-    u64(std::uint64_t v)
-    {
-        appendLe(v);
-    }
-    void
-    i64(std::int64_t v)
-    {
-        appendLe(static_cast<std::uint64_t>(v));
-    }
+    void u8(std::uint8_t v) { put(&v, sizeof v); }
+    void u32(std::uint32_t v) { put(&v, sizeof v); }
+    void u64(std::uint64_t v) { put(&v, sizeof v); }
+    void i64(std::int64_t v) { put(&v, sizeof v); }
     /** Doubles travel as their IEEE-754 bit pattern — no text rounding. */
+    void f64(double v) { put(&v, sizeof v); }
+    void time(Time t) { i64(t.nanos()); }
     void
-    f64(double v)
+    str(std::string_view s)
     {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof bits);
-        appendLe(bits);
+        u32(static_cast<std::uint32_t>(s.size()));
+        put(s.data(), s.size());
     }
-    void
-    time(Time t)
-    {
-        i64(t.nanos());
-    }
-    void str(std::string_view s);
 
-    /** Frame header + payload + digest. The writer is spent afterwards. */
+    /**
+     * Append @p n bytes that are already in wire order — a bulk copy of
+     * values whose memory layout equals their encoding (the caller
+     * guards that layout with static_asserts, as TimeSeries does).
+     */
+    void bytes(const void *data, std::size_t n) { put(data, n); }
+
+    /**
+     * Frame header + payload + digest. The buffer is handed over, so the
+     * writer is empty afterwards: the next write starts a fresh blob.
+     */
     std::vector<std::uint8_t> finish();
 
-    /** Bytes appended so far (diagnostics / size accounting). */
-    std::size_t payloadSize() const { return buf_.size(); }
-
   private:
-    template <typename T>
     void
-    appendLe(T v)
+    put(const void *data, std::size_t n)
     {
-        for (std::size_t i = 0; i < sizeof(T); ++i)
-            buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+        if (n > buf_.size() - pos_) grow(n);
+        // n == 0 may come with data == nullptr (an empty string_view).
+        if (n != 0) std::memcpy(buf_.data() + pos_, data, n);
+        pos_ += n;
     }
+    /** Make room for @p n more bytes (reserving the header if empty). */
+    void grow(std::size_t n);
 
+    /**
+     * Frame header then payload. buf_.size() is the usable capacity;
+     * bytes at and past pos_ are scratch until written.
+     */
     std::vector<std::uint8_t> buf_;
+    std::size_t pos_ = 0;           ///< write cursor into buf_
     std::size_t sectionBodyAt_ = 0; ///< patch offset of open section
     bool inSection_ = false;
 };
@@ -183,6 +193,17 @@ class CheckpointReader
     Time time() { return Time::fromNanos(i64()); }
     std::string str();
 
+    /** Copy the next @p n bytes, in wire order, into @p out. */
+    void bytes(void *out, std::size_t n);
+
+    /**
+     * Read a u64 element count and check that @p elemBytes × count bytes
+     * are still left to read, so a corrupt count throws CheckpointError
+     * before the caller sizes a container from it. @p elemBytes is the
+     * smallest encoding of one element (> 0).
+     */
+    std::uint64_t count(std::size_t elemBytes);
+
     /** True once every payload byte has been consumed. */
     bool atEnd() const { return pos_ == end_; }
 
@@ -198,6 +219,12 @@ class CheckpointReader
     }
 
   private:
+    /** Bytes left before the open section's (or the payload's) end. */
+    std::size_t
+    remaining() const
+    {
+        return (inSection_ ? sectionEnd_ : end_) - pos_;
+    }
     const std::uint8_t *take(std::size_t n);
 
     const std::uint8_t *data_ = nullptr;

@@ -1,35 +1,44 @@
 #include "sim/time_series.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <iomanip>
 #include <map>
 #include <sstream>
+#include <type_traits>
 
 #include "sim/checkpoint.h"
 
 namespace leaseos::sim {
 
+// The series travels as one block: its points' memory is the wire
+// encoding "i64 nanos | f64 bits" per point (host order is wire order,
+// see checkpoint.h), so save and restore are single copies.
+static_assert(sizeof(Time) == sizeof(std::int64_t) &&
+                  std::is_trivially_copyable_v<Time> &&
+                  std::is_standard_layout_v<Time>,
+              "Time must be a bare int64 nanosecond count");
+static_assert(sizeof(TimeSeries::Point) == 16 &&
+                  std::is_trivially_copyable_v<TimeSeries::Point> &&
+                  std::is_standard_layout_v<TimeSeries::Point>,
+              "TimeSeries::Point must be 16 bytes copied as-is");
+static_assert(offsetof(TimeSeries::Point, t) == 0 &&
+                  offsetof(TimeSeries::Point, value) == 8,
+              "TimeSeries::Point must be laid out as (Time, double)");
+
 void
 TimeSeries::saveState(CheckpointWriter &w) const
 {
     w.u64(points_.size());
-    for (const auto &p : points_) {
-        w.time(p.t);
-        w.f64(p.value);
-    }
+    w.bytes(points_.data(), points_.size() * sizeof(Point));
 }
 
 void
 TimeSeries::restoreState(CheckpointReader &r)
 {
-    std::uint64_t n = r.u64();
-    points_.clear();
-    points_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Time t = r.time();
-        double v = r.f64();
-        points_.push_back({t, v});
-    }
+    std::uint64_t n = r.count(sizeof(Point));
+    points_.resize(n);
+    r.bytes(points_.data(), n * sizeof(Point));
 }
 
 double

@@ -8,8 +8,9 @@
  * byte for byte: one full Table-5 mitigation cell, one multi-spec
  * ParallelRunner sweep, a 96-hour sweep of the GPS retry apps (whose
  * removed-but-not-destroyed location requests pile up over long
- * horizons), and one app per token service under every mitigation mode,
- * the last two serialised at full precision.
+ * horizons), one app per token service under every mitigation mode,
+ * the last two serialised at full precision, and the size and digest of
+ * every hourly checkpoint blob of a 6-hour sharded sweep.
  *
  * Regenerating (only when an *intended* behaviour change lands):
  *
@@ -21,6 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -32,6 +35,7 @@
 #include "harness/experiment.h"
 #include "harness/result_sink.h"
 #include "harness/runner.h"
+#include "harness/sharded_runner.h"
 #include "lease/behavior.h"
 
 #ifndef LEASEOS_TEST_GOLDEN_DIR
@@ -248,6 +252,68 @@ TEST(DeterminismGoldenTest, TokenServicesUnderEveryModeByteIdentical)
     for (const auto &r : results) json.addRow(resultRow(r, 17));
     json.finish();
     checkAgainstGolden("token_services_modes.json", json.document());
+}
+
+TEST(DeterminismGoldenTest, CheckpointBlobsByteIdentical)
+{
+    // Pins the encoding of real device blobs, not just a toy frame: four
+    // apps spanning the profiler-heavy GPS retry shape, a partial
+    // wakelock, a sensor listener and a Wi-Fi lock, each with and
+    // without the lease runtime, checkpointed every virtual hour through
+    // ShardedRunner. A blob's size and FNV-1a payload digest change with
+    // any byte of any section, so this golden catches an encoder that
+    // reorders, pads or re-encodes a field even when simulation output
+    // stays the same.
+    const MitigationMode modes[] = {MitigationMode::None,
+                                    MitigationMode::LeaseOS};
+    MitigationRunOptions opt;
+    opt.duration = sim::Time::fromHours(6.0);
+
+    std::vector<RunSpec> specs;
+    for (const char *key :
+         {"betterweather", "k9", "tapandturn", "connectbot-wifi"})
+        for (MitigationMode mode : modes) {
+            RunSpec spec =
+                mitigationCellSpec(apps::buggySpec(key), mode, opt);
+            spec.config.profilerPeriod = sim::Time::fromSeconds(10.0);
+            // The checked build's audit timer adds events, and the sim
+            // section counts executed events: without this, blobs would
+            // differ between checked and normal builds.
+            spec.config.checkedOracle = false;
+            int phase = static_cast<int>(specs.size());
+            spec.postStart.push_back([phase](Device &d) {
+                installDiurnalGlanceCycle(d, phase);
+            });
+            spec.withCheckpoints(sim::Time::fromHours(1.0)).withShards(3);
+            specs.push_back(std::move(spec));
+        }
+
+    RunnerOptions options;
+    options.jobs = 4;
+    options.baseSeed = 0xc4b10bULL;
+    auto results = ShardedRunner(options).run(specs);
+
+    JsonSink json;
+    json.begin("golden_checkpoint_blobs",
+               "betterweather/k9/tapandturn/connectbot-wifi x "
+               "none/leaseos, 6 h, 10 s profiler, diurnal glances, "
+               "hourly checkpoints, 3 shards, jobs=4");
+    for (const auto &r : results) {
+        json.addRow(resultRow(r, 17));
+        for (const auto &c : r.checkpoints) {
+            char digest[17];
+            std::snprintf(digest, sizeof digest, "%016" PRIx64, c.digest);
+            json.addRow(
+                {{"name", ResultValue::str(r.name)},
+                 {"timeNanos", ResultValue::count(c.timeNanos)},
+                 {"sizeBytes",
+                  ResultValue::count(
+                      static_cast<std::int64_t>(c.sizeBytes))},
+                 {"digest", ResultValue::str(digest)}});
+        }
+    }
+    json.finish();
+    checkAgainstGolden("checkpoint_blobs.json", json.document());
 }
 
 } // namespace

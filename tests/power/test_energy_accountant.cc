@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/ids.h"
+#include "power/checkpoint_io.h"
 #include "power/energy_accountant.h"
+#include "sim/checkpoint.h"
 #include "sim/simulator.h"
 
 namespace leaseos::power {
@@ -148,6 +153,83 @@ TEST(EnergyAccountantTest, ChannelNamesStored)
     ChannelId ch = acc.makeChannel("screen");
     EXPECT_EQ(acc.channelName(ch), "screen");
     EXPECT_EQ(acc.channelCount(), 1u);
+}
+
+/** Overwrite the little-endian u64 at @p offset and re-seal the blob. */
+void
+patchCount(std::vector<std::uint8_t> &blob, std::size_t offset,
+           std::uint64_t v)
+{
+    for (std::size_t i = 0; i < 8; ++i)
+        blob[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    std::uint64_t digest =
+        sim::checkpointDigest(blob.data() + 32, blob.size() - 32);
+    for (std::size_t i = 0; i < 8; ++i)
+        blob[24 + i] = static_cast<std::uint8_t>(digest >> (8 * i));
+}
+
+TEST(EnergyAccountantTest, AbsurdCountsInBlobThrowCheckpointError)
+{
+    sim::Simulator sim;
+    EnergyAccountant acc(sim);
+    ChannelId ch = acc.makeChannel("cpu");
+    acc.setPower(ch, 100.0, {kAppA});
+    sim.runFor(10_s);
+    acc.sync();
+    sim::CheckpointWriter w;
+    acc.saveState(w);
+    const std::vector<std::uint8_t> blob = w.finish();
+
+    // Header (32) | u32 nameLen | "energy" | u32 version | u64 bodyLen
+    // | time lastSync | f64 total | u64 uidCount | uidCount x (u32, f64)
+    // | u64 channels | str "cpu" | f64 energy | u64 slots ...
+    const std::size_t uidCountAt = 32 + 4 + 6 + 4 + 8 + 8 + 8;
+    const std::size_t slotsAt = uidCountAt + 8 + 12 + 8 + 4 + 3 + 8;
+    for (std::size_t at : {uidCountAt, slotsAt})
+        for (std::uint64_t n : {std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+            SCOPED_TRACE(at);
+            std::vector<std::uint8_t> bad = blob;
+            patchCount(bad, at, n);
+            sim::Simulator sim2;
+            EnergyAccountant fresh(sim2);
+            fresh.makeChannel("cpu");
+            sim::CheckpointReader r(bad);
+            EXPECT_THROW(fresh.restoreState(r), sim::CheckpointError);
+        }
+
+    // The untouched blob still restores (the offsets above are right).
+    sim::Simulator sim3;
+    EnergyAccountant fresh(sim3);
+    fresh.makeChannel("cpu");
+    sim::CheckpointReader r(blob);
+    fresh.restoreState(r);
+    EXPECT_DOUBLE_EQ(fresh.uidEnergyMj(kAppA), 1000.0);
+}
+
+TEST(CheckpointIoTest, AbsurdUidCountThrowsCheckpointError)
+{
+    sim::CheckpointWriter w;
+    w.beginSection("owners", 1);
+    ckpt::writeUids(w, {kAppA, kAppB});
+    w.endSection();
+    const std::vector<std::uint8_t> blob = w.finish();
+
+    const std::size_t countAt = 32 + 4 + 6 + 4 + 8;
+    {
+        sim::CheckpointReader r(blob);
+        r.beginSection("owners");
+        EXPECT_EQ(ckpt::readUids(r), (std::vector<Uid>{kAppA, kAppB}));
+        r.endSection();
+    }
+    for (std::uint64_t n : {std::uint64_t{3}, std::uint64_t{1} << 61,
+                            ~std::uint64_t{0}}) {
+        SCOPED_TRACE(n);
+        std::vector<std::uint8_t> bad = blob;
+        patchCount(bad, countAt, n);
+        sim::CheckpointReader r(bad);
+        r.beginSection("owners");
+        EXPECT_THROW(ckpt::readUids(r), sim::CheckpointError);
+    }
 }
 
 } // namespace

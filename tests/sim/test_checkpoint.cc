@@ -11,13 +11,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "sim/checkpoint.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "sim/time_series.h"
 
 namespace leaseos::sim {
 namespace {
@@ -33,6 +37,27 @@ hex(const std::vector<std::uint8_t> &bytes)
         out.push_back(digits[b & 0xf]);
     }
     return out;
+}
+
+constexpr std::size_t kHeaderBytes = 32;
+
+/** Re-seal a hand-edited blob: recompute the payload digest. */
+void
+reseal(std::vector<std::uint8_t> &blob)
+{
+    std::uint64_t digest =
+        checkpointDigest(blob.data() + kHeaderBytes,
+                         blob.size() - kHeaderBytes);
+    std::memcpy(blob.data() + 24, &digest, sizeof digest);
+}
+
+/** Overwrite the little-endian u64 at @p offset. */
+void
+patchU64(std::vector<std::uint8_t> &blob, std::size_t offset,
+         std::uint64_t v)
+{
+    for (std::size_t i = 0; i < 8; ++i)
+        blob[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 TEST(CheckpointWireTest, ScalarRoundTrip)
@@ -223,6 +248,273 @@ TEST(CheckpointComponentTest, SimulatorClockAndCountersRoundTrip)
     fresh.run(Time::fromSeconds(5.0));
     EXPECT_EQ(after, 1);
     EXPECT_EQ(fresh.now(), Time::fromSeconds(5.0));
+}
+
+/**
+ * A series with every awkward bit pattern: negative and extreme times,
+ * signed zeros, infinities, denormals and a NaN with payload bits.
+ */
+TimeSeries
+awkwardSeries(std::size_t n)
+{
+    double nanWithPayload = 0.0;
+    std::uint64_t nanBits = 0x7ff4000000c0ffeeULL;
+    std::memcpy(&nanWithPayload, &nanBits, sizeof nanWithPayload);
+    const double values[] = {-0.0,
+                             0.0,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::denorm_min(),
+                             -4.9406564584124654e-320,
+                             nanWithPayload,
+                             1234.5678};
+    const std::int64_t times[] = {-1,
+                                  std::numeric_limits<std::int64_t>::min(),
+                                  std::numeric_limits<std::int64_t>::max(),
+                                  0, -86400000000000LL, 7};
+    TimeSeries series("awkward");
+    for (std::size_t i = 0; i < n; ++i)
+        series.record(Time::fromNanos(times[i % 6] /
+                                      static_cast<std::int64_t>(1 + i % 3)),
+                      values[i % 8]);
+    return series;
+}
+
+TEST(CheckpointWireTest, BulkSeriesEqualsFieldByFieldEncoding)
+{
+    for (std::size_t n : {std::size_t{0}, std::size_t{1},
+                          std::size_t{100000}}) {
+        SCOPED_TRACE(n);
+        TimeSeries series = awkwardSeries(n);
+
+        CheckpointWriter bulk;
+        bulk.beginSection("series", 1);
+        series.saveState(bulk);
+        bulk.endSection();
+        std::vector<std::uint8_t> bulkBlob = bulk.finish();
+
+        CheckpointWriter fields;
+        fields.beginSection("series", 1);
+        fields.u64(series.size());
+        for (const auto &p : series.points()) {
+            fields.time(p.t);
+            fields.f64(p.value);
+        }
+        fields.endSection();
+        std::vector<std::uint8_t> fieldBlob = fields.finish();
+
+        ASSERT_EQ(bulkBlob, fieldBlob);
+        if (n == 1) {
+            // u64 count 1 | i64 -1 ns | f64 -0.0, all little-endian.
+            std::vector<std::uint8_t> tail(bulkBlob.end() - 24,
+                                           bulkBlob.end());
+            EXPECT_EQ(hex(tail), "0100000000000000"
+                                 "ffffffffffffffff"
+                                 "0000000000000080");
+        }
+
+        // The bulk read restores every bit, NaN payload included.
+        TimeSeries restored;
+        restored.record(Time::fromNanos(5), 5.0); // replaced by restore
+        CheckpointReader r(bulkBlob);
+        r.beginSection("series");
+        restored.restoreState(r);
+        r.endSection();
+        ASSERT_EQ(restored.size(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto &a = series.points()[i];
+            const auto &b = restored.points()[i];
+            ASSERT_EQ(a.t, b.t) << i;
+            ASSERT_EQ(std::memcmp(&a.value, &b.value, sizeof a.value), 0)
+                << i;
+        }
+    }
+}
+
+TEST(CheckpointWireTest, SectionSpanningSeveralGrowthsPatchesBodyLength)
+{
+    // 5,000 u64s = 40,000 body bytes: the buffer grows from its initial
+    // capacity several times while the section is open.
+    constexpr std::uint64_t kWords = 5000;
+    static_assert(kWords * 8 > 8 * CheckpointWriter::kInitialCapacity);
+    CheckpointWriter w;
+    w.beginSection("big", 4);
+    for (std::uint64_t i = 0; i < kWords; ++i) w.u64(i * 0x9e3779b97f4a7c15ULL);
+    w.endSection();
+    w.beginSection("tail", 1);
+    w.u8(0x5a);
+    w.endSection();
+    std::vector<std::uint8_t> blob = w.finish();
+
+    // section "big": u32 nameLen | "big" | u32 version | u64 bodyLen
+    const std::size_t bodyLenAt = kHeaderBytes + 4 + 3 + 4;
+    std::uint64_t bodyLen = 0;
+    for (std::size_t i = 0; i < 8; ++i)
+        bodyLen |= static_cast<std::uint64_t>(blob[bodyLenAt + i]) << (8 * i);
+    EXPECT_EQ(bodyLen, kWords * 8);
+
+    CheckpointReader r(blob);
+    EXPECT_EQ(r.beginSection("big"), 4u);
+    EXPECT_EQ(r.sectionRemaining(), kWords * 8);
+    for (std::uint64_t i = 0; i < kWords; ++i)
+        ASSERT_EQ(r.u64(), i * 0x9e3779b97f4a7c15ULL);
+    r.endSection();
+    EXPECT_EQ(r.beginSection("tail"), 1u);
+    EXPECT_EQ(r.u8(), 0x5a);
+    r.endSection();
+    EXPECT_TRUE(r.atEnd());
+}
+
+TEST(CheckpointWireTest, EmptyAndOversizedStringsEncode)
+{
+    const std::string big(3 * CheckpointWriter::kInitialCapacity + 17, 'q');
+    CheckpointWriter w;
+    w.beginSection("s", 1);
+    w.str("");
+    w.str(big);
+    w.str(std::string_view());
+    w.endSection();
+    std::vector<std::uint8_t> blob = w.finish();
+
+    // Body: u32 0 | u32 len | len bytes | u32 0.
+    const std::size_t body = kHeaderBytes + 4 + 1 + 4 + 8;
+    ASSERT_EQ(blob.size(), body + 4 + 4 + big.size() + 4);
+    const std::uint32_t len = static_cast<std::uint32_t>(big.size());
+    const std::uint8_t lenLe[4] = {
+        static_cast<std::uint8_t>(len), static_cast<std::uint8_t>(len >> 8),
+        static_cast<std::uint8_t>(len >> 16),
+        static_cast<std::uint8_t>(len >> 24)};
+    EXPECT_EQ(std::vector<std::uint8_t>(blob.begin() + body,
+                                        blob.begin() + body + 4),
+              std::vector<std::uint8_t>(4, 0));
+    EXPECT_EQ(std::memcmp(blob.data() + body + 4, lenLe, 4), 0);
+    EXPECT_EQ(std::string(blob.begin() + body + 8,
+                          blob.begin() + body + 8 + big.size()),
+              big);
+
+    CheckpointReader r(blob);
+    r.beginSection("s");
+    EXPECT_EQ(r.str(), "");
+    EXPECT_EQ(r.str(), big);
+    EXPECT_EQ(r.str(), "");
+    r.endSection();
+}
+
+TEST(CheckpointWireTest, WriterStartsAFreshBlobAfterFinish)
+{
+    // finish() hands its buffer over; the next write starts a new blob
+    // (header reserved again), identical to one from a new writer.
+    auto fill = [](CheckpointWriter &w, std::uint64_t v) {
+        w.beginSection("x", 1);
+        w.u64(v);
+        w.str(std::string(CheckpointWriter::kInitialCapacity, 'z'));
+        w.endSection();
+    };
+    CheckpointWriter reused;
+    fill(reused, 1);
+    std::vector<std::uint8_t> first = reused.finish();
+    fill(reused, 2);
+    std::vector<std::uint8_t> second = reused.finish();
+    std::vector<std::uint8_t> empty = reused.finish();
+
+    CheckpointWriter a;
+    fill(a, 1);
+    CheckpointWriter b;
+    fill(b, 2);
+    EXPECT_EQ(first, a.finish());
+    EXPECT_EQ(second, b.finish());
+    EXPECT_EQ(empty, CheckpointWriter().finish());
+    EXPECT_EQ(empty.size(), kHeaderBytes);
+    CheckpointReader r(empty);
+    EXPECT_TRUE(r.atEnd());
+}
+
+TEST(CheckpointWireTest, WrappingBodyLengthThrowsInsteadOfLooping)
+{
+    CheckpointWriter w;
+    w.beginSection("a", 1);
+    w.u8(1);
+    w.endSection();
+    w.beginSection("b", 1);
+    w.u8(2);
+    w.endSection();
+    std::vector<std::uint8_t> blob = w.finish();
+
+    // Section "b" starts after "a"'s 1 + 4 + 4 + 8 + 1 = 18 bytes (the
+    // name length prefix is 4). Give "b" a body length that wraps its
+    // end back to the start of "a": a section walker would then visit
+    // a, b, a, b, ... forever.
+    const std::size_t aAt = kHeaderBytes;
+    const std::size_t bAt = aAt + 4 + 1 + 4 + 8 + 1;
+    const std::size_t bBodyAt = bAt + 4 + 1 + 4 + 8;
+    patchU64(blob, bAt + 4 + 1 + 4,
+             std::uint64_t{0} - static_cast<std::uint64_t>(bBodyAt - aAt));
+    reseal(blob);
+
+    CheckpointReader r(blob);
+    int visited = 0;
+    EXPECT_THROW(
+        {
+            while (!r.atEnd() && visited < 10) {
+                std::uint32_t version = 0;
+                r.nextSection(version);
+                r.skipSection();
+                ++visited;
+            }
+        },
+        CheckpointError);
+    EXPECT_EQ(visited, 1); // "a" was fine; "b" must not open
+
+    // A length that would wrap the read cursor itself.
+    CheckpointReader s(blob);
+    s.beginSection("a");
+    std::uint8_t sink = 0;
+    EXPECT_THROW(s.bytes(&sink, std::numeric_limits<std::size_t>::max()),
+                 CheckpointError);
+}
+
+TEST(CheckpointWireTest, AbsurdSeriesCountThrowsBeforeAllocating)
+{
+    CheckpointWriter w;
+    w.beginSection("series", 1);
+    awkwardSeries(3).saveState(w);
+    w.endSection();
+    std::vector<std::uint8_t> blob = w.finish();
+
+    const std::size_t countAt = kHeaderBytes + 4 + 6 + 4 + 8;
+    for (std::uint64_t n : {std::uint64_t{4}, std::uint64_t{1} << 40,
+                            std::uint64_t{1} << 60,
+                            ~std::uint64_t{0}}) {
+        SCOPED_TRACE(n);
+        std::vector<std::uint8_t> bad = blob;
+        patchU64(bad, countAt, n);
+        reseal(bad);
+        CheckpointReader r(bad);
+        r.beginSection("series");
+        TimeSeries restored;
+        EXPECT_THROW(restored.restoreState(r), CheckpointError);
+    }
+}
+
+TEST(CheckpointWireTest, CountIsCheckedAgainstBytesLeft)
+{
+    CheckpointWriter w;
+    w.beginSection("c", 1);
+    w.u64(3);
+    w.u32(1);
+    w.u32(2);
+    w.u32(3);
+    w.endSection();
+    std::vector<std::uint8_t> blob = w.finish();
+
+    CheckpointReader ok(blob);
+    ok.beginSection("c");
+    EXPECT_EQ(ok.count(4), 3u); // exactly 12 bytes left
+    ok.skipSection();
+
+    CheckpointReader tooBig(blob);
+    tooBig.beginSection("c");
+    EXPECT_THROW(tooBig.count(5), CheckpointError); // 15 > 12
 }
 
 } // namespace
