@@ -6,7 +6,7 @@
  * glance script whose cadence varies per device (heavy users glance every
  * half minute, light users every few minutes). Every device is an
  * independent RunSpec executed on the ParallelRunner worker pool, so the
- * whole fleet is bit-identical for any `--jobs N`.
+ * whole fleet is bit-identical for any `--jobs N` and any slicing.
  *
  * This is the scale workload for the event-queue fast path: a fleet run
  * pushes tens of millions of events through sim::EventQueue, and the
@@ -16,14 +16,14 @@
  * BENCH_fleet.json.
  *
  * Flags: --devices=N (1..500, default 100), --minutes=M (virtual minutes
- * per device, up to a week = 10080, default 30), --shard-minutes=S (cut
- * each device's timeline into ceil(M/S) time slices executed on the
- * ShardedRunner with a checkpoint emitted every S virtual minutes —
- * results are bit-identical to the unsharded run), --jobs=N / -j N
- * (worker pool, default automatic), --trace=PATH (export the first
- * LeaseOS device's trace ring; needs a -DLEASEOS_TRACING=ON build). CI
- * smoke runs `--devices=50 --minutes=5`; the sharded smoke adds
- * `--shard-minutes=10`.
+ * per device, up to a week = 10080, default 30), --shard-minutes=S (set
+ * RunSpec::shards so each device's timeline runs as ceil(M/S) time
+ * slices, with a checkpoint emitted every S virtual minutes; one engine
+ * runs sliced and unsliced fleets, and results are bit-identical to the
+ * unsharded run), --jobs=N / -j N (worker pool, default automatic),
+ * --trace=PATH (export the first LeaseOS device's trace ring; needs a
+ * -DLEASEOS_TRACING=ON build). CI smoke runs `--devices=50
+ * --minutes=5`; the sharded smoke adds `--shard-minutes=10`.
  *
  * Runs of 12 h or longer coarsen the power-profiler sampling period from
  * 100 ms to 10 s so a week-long fleet's TimeSeries memory stays bounded.
@@ -50,7 +50,6 @@
 #include "harness/experiment.h"
 #include "harness/result_sink.h"
 #include "harness/runner.h"
-#include "harness/sharded_runner.h"
 #include "support/alloc_counter.h"
 
 using namespace leaseos;
@@ -111,7 +110,7 @@ main(int argc, char **argv)
 {
     long devices = 100;
     long minutes = 30;
-    long shardMinutes = 0; // 0 = unsharded ParallelRunner
+    long shardMinutes = 0; // 0 = one slice per device
     std::string tracePath;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--devices=", 10) == 0)
@@ -175,36 +174,22 @@ main(int argc, char **argv)
     harness::RunnerOptions options =
         harness::ParallelRunner::parseArgs(argc, argv);
     options.baseSeed = 0xf1ee7ULL;
-    int jobs = 0;
-    std::int64_t t0 = 0;
-    std::uint64_t allocs0 = 0;
-    std::vector<harness::RunResult> results;
-    if (shardMinutes > 0) {
-        harness::ShardedRunner runner(options);
-        jobs = runner.jobs();
-        std::fprintf(stderr,
-                     "[fleet] %ld devices x %ld min on %d worker(s), "
-                     "%ld-min time slices\n",
-                     devices, minutes, jobs, shardMinutes);
-        t0 = nowNanos();
-        allocs0 = benchsupport::allocCount();
-        results = runner.run(specs);
-    } else {
-        harness::ParallelRunner runner(options);
-        jobs = runner.jobs();
-        std::fprintf(stderr,
-                     "[fleet] %ld devices x %ld min on %d worker(s)\n",
-                     devices, minutes, jobs);
-        t0 = nowNanos();
-        allocs0 = benchsupport::allocCount();
-        results = runner.run(specs);
-    }
+    harness::ParallelRunner runner(options);
+    const int jobs = runner.jobs();
+    std::fprintf(stderr, "[fleet] %ld devices x %ld min on %d worker(s)",
+                 devices, minutes, jobs);
+    if (shardMinutes > 0)
+        std::fprintf(stderr, ", %ld-min time slices", shardMinutes);
+    std::fprintf(stderr, "\n");
+    const std::int64_t t0 = nowNanos();
+    const std::uint64_t allocs0 = benchsupport::allocCount();
+    std::vector<harness::RunResult> results = runner.run(specs);
     std::uint64_t allocs = benchsupport::allocCount() - allocs0;
     double wallSec = static_cast<double>(nowNanos() - t0) / 1e9;
 
     // Aggregate per mode and per (behaviour class, mode). The per-mode
     // split relies on result i being device i (vanilla on even indices,
-    // LeaseOS on odd): both runners guarantee spec-order collection for
+    // LeaseOS on odd): the runner guarantees spec-order collection for
     // any --jobs, and the name/specIndex check pins that contract — a
     // reordering would silently swap the modes in every fleet number.
     std::map<std::string, ModeAgg> perMode;

@@ -5,7 +5,7 @@
  *
  * Runs the Torch cell (vanilla and LeaseOS) with a checkpoint emitted
  * every 1/8 of the duration, sliced into --shards time slices on the
- * ShardedRunner (--shards=1 runs the single-shot runScenario() baseline
+ * ParallelRunner (--shards=1 runs the single-shot runScenario() baseline
  * instead — same spec, no slicing machinery at all). The full result —
  * power in exact IEEE-754 bits, lease counters, and every checkpoint's
  * {time, size, payload digest} — is written as canonical JSON to --out.
@@ -26,7 +26,7 @@
 
 #include "apps/registry.h"
 #include "harness/experiment.h"
-#include "harness/sharded_runner.h"
+#include "harness/runner.h"
 
 using namespace leaseos;
 
@@ -113,7 +113,7 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < results.size(); ++i)
             results[i].specIndex = i;
     } else {
-        harness::ShardedRunner runner(
+        harness::ParallelRunner runner(
             harness::ParallelRunner::parseArgs(argc, argv));
         results = runner.run(specs);
     }

@@ -63,8 +63,8 @@ class App
      * themselves with scheduled closures that cannot be serialized, so
      * restore-from-blob is only offered by apps that keep their next
      * deadline as plain data (see apps/synthetic/snapshot_probe.h). The
-     * sharded runner never needs this — it hands live devices between
-     * workers instead of restoring.
+     * sliced execution in ParallelRunner never needs this — it hands
+     * live devices between workers instead of restoring.
      */
     virtual bool checkpointable() const { return false; }
 

@@ -287,8 +287,8 @@ class Device
     /**
      * Re-install this device's thread-local telemetry (flight recorder,
      * checked-build oracle) on the calling thread. The constructor binds
-     * the constructing thread; the sharded runner calls this when a
-     * device migrates to another worker for its next time slice.
+     * the constructing thread; ParallelRunner calls this when a device
+     * migrates to another worker for its next time slice.
      * unbindFromThread() must run on the old thread first.
      */
     void bindToThread();

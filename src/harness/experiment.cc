@@ -6,14 +6,6 @@
 
 namespace leaseos::harness {
 
-sim::PeriodicHandle
-installGlanceScript(Device &device, const MitigationRunOptions &opt)
-{
-    if (!opt.userGlances) return {};
-    return installGlanceScript(device, opt.glanceInterval,
-                               opt.glanceLength);
-}
-
 void
 diurnalGlanceCadence(int localHour, sim::Time &interval, sim::Time &length)
 {

@@ -11,7 +11,8 @@
  * background "lightly attended device" script (occasional glances /
  * pocket movement) that gives Doze its realistic interruptions. Callers
  * execute the spec with runScenario() or sweep lists of them with
- * ParallelRunner.
+ * ParallelRunner, the one execution engine (RunSpec::shards selects
+ * time slicing).
  */
 
 #include "harness/runner.h"
@@ -38,14 +39,6 @@ struct MitigationRunOptions {
 };
 
 /**
- * Install the glance script on a device (screen on briefly + motion blip
- * every glanceInterval). Inert handle when opt.userGlances is off; the
- * script stops when the returned handle is cancelled or destroyed.
- */
-[[nodiscard]] sim::PeriodicHandle
-installGlanceScript(Device &device, const MitigationRunOptions &opt);
-
-/**
  * Glance cadence for local hour-of-day @p localHour (0..23): daytime
  * phases glance every 30–70 s for 8–14 s, nighttime every 3–6 min for
  * 3 s.
@@ -65,7 +58,8 @@ void installDiurnalGlanceCycle(Device &device, int phase);
 
 /**
  * Build the RunSpec for one buggy-app × mitigation-mode Table 5 cell;
- * execute with runScenario() or feed lists of them to a ParallelRunner.
+ * execute with runScenario() or feed lists of them to a ParallelRunner
+ * (set RunSpec::shards to slice a long cell).
  */
 RunSpec mitigationCellSpec(const apps::BuggyAppSpec &spec,
                            MitigationMode mode,

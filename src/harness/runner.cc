@@ -1,10 +1,11 @@
 #include "harness/runner.h"
 
 #include <algorithm>
-#include <atomic>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -59,18 +60,29 @@ installGlanceScript(Device &device, sim::Time interval, sim::Time length)
 RunResult
 runScenario(const RunSpec &spec)
 {
-    return runScenario(spec, spec.config);
-}
-
-RunResult
-runScenario(const RunSpec &spec, const DeviceConfig &config)
-{
-    // Single-shot execution is just a one-slice session. ShardedRunner
+    // Single-shot execution is just a one-slice session. ParallelRunner
     // drives the same class slice by slice, which is why the two agree
-    // bit-for-bit (see tests/test_sharded_runner.cc).
-    ScenarioSession session(spec, config);
+    // bit-for-bit (see tests/harness/test_sharded_runner.cc).
+    ScenarioSession session(spec, spec.config);
     session.advanceTo(spec.duration);
     return session.finish();
+}
+
+std::vector<sim::Time>
+shardBounds(sim::Time duration, int shards)
+{
+    if (shards < 1) shards = 1;
+    std::vector<sim::Time> bounds;
+    bounds.reserve(static_cast<std::size_t>(shards));
+    for (int i = 1; i <= shards; ++i) {
+        // i·d/n in integer nanos: monotone, exact endpoint, and safe
+        // from overflow for any plausible duration · shard product.
+        std::int64_t at = duration.nanos() / shards * i +
+                          duration.nanos() % shards * i / shards;
+        bounds.push_back(sim::Time::fromNanos(at));
+    }
+    bounds.back() = duration;
+    return bounds;
 }
 
 std::uint64_t
@@ -88,10 +100,9 @@ deriveSeed(std::uint64_t baseSeed, std::uint64_t specIndex)
 int
 ParallelRunner::defaultJobs()
 {
-    if (const char *env = std::getenv("LEASEOS_JOBS")) {
-        int n = std::atoi(env);
-        if (n > 0) return n;
-    }
+    if (std::optional<int> n = parseJobs(std::getenv("LEASEOS_JOBS"));
+        n && *n > 0)
+        return *n;
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
@@ -160,6 +171,20 @@ ParallelRunner::ParallelRunner(RunnerOptions options)
     jobs_ = options.jobs > 0 ? options.jobs : defaultJobs();
 }
 
+namespace {
+
+/** One spec's execution state, migrating between workers. */
+struct Session {
+    std::size_t specIndex = 0;
+    std::vector<sim::Time> bounds;
+    std::size_t nextSlice = 0;
+    /** Live between first claim and last slice; bound to no thread
+     *  while the session sits in the ready queue. */
+    std::unique_ptr<ScenarioSession> scenario;
+};
+
+} // namespace
+
 std::vector<RunResult>
 ParallelRunner::run(const std::vector<RunSpec> &specs,
                     const std::function<void(const RunResult &)> &onResult)
@@ -168,47 +193,98 @@ ParallelRunner::run(const std::vector<RunSpec> &specs,
     std::vector<RunResult> results(specs.size());
     if (specs.empty()) return results;
 
-    // Work queue: a shared atomic cursor over the spec list. Each worker
-    // claims the next index, runs that spec on its own Device/Simulator,
-    // and writes into its private results slot — collection is ordered by
+    std::vector<Session> sessions(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        sessions[i].specIndex = i;
+
+    // Slice scheduler: sessions whose next slice may run sit in `ready`;
+    // workers prefer those and open a fresh session only when none is
+    // ready, bounding live devices near the pool size. A session is
+    // owned by exactly one worker at a time (it is either in `ready`,
+    // in flight, or done), so only the queue itself needs the lock, and
+    // each result lands in its own slot: collection is ordered by
     // construction, not by completion.
-    std::atomic<std::size_t> next{0};
-    std::mutex reportMutex;
+    std::mutex m;
+    std::condition_variable cv;
+    std::deque<Session *> ready;
+    std::size_t nextUnstarted = 0;
+    std::size_t doneCount = 0;
     std::exception_ptr firstError;
+    std::mutex reportMutex; // serialises onResult
+
+    auto complete = [&](Session &s, RunResult r, bool report) {
+        r.specIndex = s.specIndex;
+        if (report && onResult) {
+            std::lock_guard<std::mutex> lock(reportMutex);
+            onResult(r);
+        }
+        results[s.specIndex] = std::move(r);
+        std::lock_guard<std::mutex> lock(m);
+        // Idle workers wait for a ready slice or for the end; a finished
+        // session never makes a slice ready.
+        if (++doneCount == sessions.size()) cv.notify_all();
+    };
 
     auto worker = [&] {
         for (;;) {
-            std::size_t i = next.fetch_add(1);
-            if (i >= specs.size()) return;
-            try {
-                // Specs are shared read-only across workers: reseeding
-                // clones only the DeviceConfig, never the spec's app/
-                // setup/probe closures.
-                const RunSpec &spec = specs[i];
-                RunResult r;
-                if (options_.baseSeed) {
-                    DeviceConfig config = spec.config;
-                    config.seed = deriveSeed(*options_.baseSeed, i);
-                    r = runScenario(spec, config);
+            Session *s = nullptr;
+            {
+                std::unique_lock<std::mutex> lock(m);
+                cv.wait(lock, [&] {
+                    return doneCount == sessions.size() || !ready.empty() ||
+                           nextUnstarted < sessions.size();
+                });
+                if (doneCount == sessions.size()) return;
+                if (!ready.empty()) {
+                    s = ready.front();
+                    ready.pop_front();
                 } else {
-                    r = runScenario(spec);
+                    s = &sessions[nextUnstarted++];
                 }
-                r.specIndex = i;
-                if (onResult) {
-                    std::lock_guard<std::mutex> lock(reportMutex);
-                    onResult(r);
+            }
+            try {
+                if (!s->scenario) {
+                    // Specs are shared read-only across workers:
+                    // reseeding clones only the DeviceConfig, never the
+                    // spec's app/setup/probe closures.
+                    const RunSpec &spec = specs[s->specIndex];
+                    DeviceConfig config = spec.config;
+                    if (options_.baseSeed)
+                        config.seed =
+                            deriveSeed(*options_.baseSeed, s->specIndex);
+                    s->bounds = shardBounds(spec.duration, spec.shards);
+                    s->scenario =
+                        std::make_unique<ScenarioSession>(spec, config);
+                } else {
+                    s->scenario->bind();
                 }
-                results[i] = std::move(r);
+                s->scenario->advanceTo(s->bounds[s->nextSlice]);
+                ++s->nextSlice;
+                if (s->nextSlice == s->bounds.size()) {
+                    RunResult r = s->scenario->finish();
+                    s->scenario.reset();
+                    complete(*s, std::move(r), true);
+                } else {
+                    s->scenario->unbind();
+                    std::lock_guard<std::mutex> lock(m);
+                    ready.push_back(s);
+                    cv.notify_one();
+                }
             } catch (...) {
-                std::lock_guard<std::mutex> lock(reportMutex);
-                if (!firstError) firstError = std::current_exception();
+                // Record the first error, leave this spec's result
+                // default, keep draining the rest.
+                s->scenario.reset();
+                {
+                    std::lock_guard<std::mutex> lock(m);
+                    if (!firstError) firstError = std::current_exception();
+                }
+                complete(*s, RunResult{}, false);
             }
         }
     };
 
-    int pool = static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(jobs_),
-                              specs.size()));
+    int pool = static_cast<int>(std::min<std::size_t>(
+        static_cast<std::size_t>(jobs_), specs.size()));
     if (pool <= 1) {
         worker();
     } else {

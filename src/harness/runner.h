@@ -3,16 +3,19 @@
 
 /**
  * @file
- * The parallel experiment engine: a generic scenario-run API plus a
- * thread-pool sweep runner.
+ * The experiment engine: a generic scenario-run API plus the one
+ * worker pool every sweep runs on.
  *
  * Every paper table/figure (and every sweep the paper never printed) is a
  * list of *independent* discrete-event simulations: build a Device,
  * install apps, trigger an environment, run virtual time forward, read
  * metrics. A RunSpec describes one such run declaratively; runScenario()
- * executes it; ParallelRunner executes a whole list across a fixed worker
- * pool with deterministic per-spec seeding and ordered result collection,
- * so `jobs=1` and `jobs=N` produce bit-identical results.
+ * executes it in one shot; ParallelRunner executes a whole list across a
+ * fixed worker pool with deterministic per-spec seeding and ordered
+ * result collection, so `jobs=1` and `jobs=N` produce bit-identical
+ * results. RunSpec::shards selects time slicing (DESIGN.md §11): a spec
+ * cut into several slices pipelines across workers and still returns
+ * exactly the single-shot result.
  */
 
 #include <cstdint>
@@ -122,12 +125,12 @@ struct RunSpec {
     std::string checkpointDir;
 
     /**
-     * Time slices for ShardedRunner: the run is cut at shard boundaries
-     * (i·duration/shards) and each slice is scheduled independently, so
-     * one long scenario pipelines across workers. runScenario() and
-     * ParallelRunner ignore this field — a single-shot run of the same
-     * spec is the equivalence baseline the sharded path is checked
-     * against.
+     * Time slices for ParallelRunner: the run is cut at shard boundaries
+     * (shardBounds) and each slice is scheduled independently, so one
+     * long scenario pipelines across workers; 1 runs the spec as a
+     * single task. runScenario() ignores this field — its single-shot
+     * run of the same spec is the equivalence baseline sliced execution
+     * is checked against.
      */
     int shards = 1;
 
@@ -289,11 +292,11 @@ struct RunResult {
 RunResult runScenario(const RunSpec &spec);
 
 /**
- * As above, but with @p config in place of spec.config — lets callers
- * (e.g. ParallelRunner's reseeding) vary device parameters without
- * copying the whole spec. RunResult::seed reports config.seed.
+ * Slice-boundary instants for @p duration cut into @p shards slices:
+ * bounds[i] = (i+1)·duration/shards, monotone, last == duration. A
+ * shard count < 1 is treated as 1.
  */
-RunResult runScenario(const RunSpec &spec, const DeviceConfig &config);
+std::vector<sim::Time> shardBounds(sim::Time duration, int shards);
 
 /**
  * Install the lightly-attended-device script: screen on briefly + motion
@@ -315,7 +318,8 @@ std::uint64_t deriveSeed(std::uint64_t baseSeed, std::uint64_t specIndex);
 /** ParallelRunner construction parameters. */
 struct RunnerOptions {
     /**
-     * Worker threads. 0 = automatic: $LEASEOS_JOBS if set, else
+     * Worker threads. 0 = automatic (ParallelRunner::defaultJobs()):
+     * $LEASEOS_JOBS if it is a positive integer, else
      * hardware_concurrency.
      */
     int jobs = 0;
@@ -330,11 +334,16 @@ struct RunnerOptions {
 };
 
 /**
- * Fixed worker-pool executor for lists of independent RunSpecs.
+ * Fixed worker-pool executor for lists of independent RunSpecs — the
+ * only one; RunSpec::shards selects slicing.
  *
+ * The unit of scheduling is a time slice: each spec's timeline is cut
+ * into its RunSpec::shards slices, a live ScenarioSession carries the
+ * device across them, and consecutive slices of one device may run on
+ * different workers (handed over with ScenarioSession::bind()/unbind()).
  * Results are collected in spec order no matter which worker finished
  * first, and every run's seed depends only on (spec, index) — never on
- * scheduling — so a sweep is bit-identical across job counts.
+ * scheduling — so a sweep is bit-identical across job and shard counts.
  */
 class ParallelRunner
 {
@@ -345,17 +354,26 @@ class ParallelRunner
     int jobs() const { return jobs_; }
 
     /**
-     * Run every spec; returns results in spec order. @p onResult, when
-     * given, is invoked once per completed run (serialised under an
-     * internal mutex, in completion order) for progress reporting.
+     * Run every spec, slicing each into its RunSpec::shards time slices;
+     * returns results in spec order. @p onResult, when given, is invoked
+     * once per completed spec (serialised under an internal mutex, in
+     * completion order) for progress reporting. New sessions are opened
+     * only when no started session has a slice ready, so live devices
+     * stay bounded near the worker count instead of the spec count.
+     *
+     * A spec that throws leaves its result default-constructed and gets
+     * no onResult call; the other specs still run, and the first error
+     * is rethrown once all of them are done.
      */
     std::vector<RunResult>
     run(const std::vector<RunSpec> &specs,
         const std::function<void(const RunResult &)> &onResult = {}) const;
 
     /**
-     * Automatic worker count: $LEASEOS_JOBS when set to a positive
-     * integer, else std::thread::hardware_concurrency().
+     * Automatic worker count: $LEASEOS_JOBS when it is a positive
+     * integer (read strictly, as parseJobs() does), else
+     * std::thread::hardware_concurrency(). A malformed value or 0
+     * falls back.
      */
     static int defaultJobs();
 

@@ -149,9 +149,9 @@ ScenarioSession::finish()
 
     telemetry_->finish(spec, result);
 
-    // Tear down eagerly: the sharded runner keeps finished sessions
-    // around until every spec completes, and a dead Device frees its
-    // whole event queue + time series.
+    // Tear down eagerly: a dead Device frees its whole event queue and
+    // time series as soon as the result is collected, whoever holds the
+    // session object.
     glanceTick_.cancel();
     device_.reset();
     telemetry_.reset();

@@ -5,13 +5,14 @@
  * @file
  * One in-flight scenario run, advanceable in time slices (DESIGN.md §11).
  *
- * ScenarioSession is the unit both execution engines drive:
+ * ScenarioSession is the unit every scenario run drives:
  *
  *  - runScenario() constructs one and advances it to the full duration in
  *    a single call — the single-shot baseline;
- *  - ShardedRunner constructs one per spec and advances it slice by
- *    slice, handing the *live* session between worker threads (pending
- *    event closures cannot be serialized, so migration — not
+ *  - ParallelRunner, the one execution engine, constructs one per spec
+ *    and advances it slice by slice (RunSpec::shards slices; one when
+ *    unsliced), handing the *live* session between worker threads
+ *    (pending event closures cannot be serialized, so migration — not
  *    restore-from-blob — is how a long scenario crosses workers).
  *
  * Checkpoint blobs are emitted whenever the clock reaches a multiple of

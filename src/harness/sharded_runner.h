@@ -3,70 +3,19 @@
 
 /**
  * @file
- * Time-sliced sharded execution of long scenarios (DESIGN.md §11).
- *
- * ParallelRunner's unit of scheduling is a whole run; one week-long
- * device therefore occupies a worker for the whole wall-clock while
- * shorter runs drain. ShardedRunner's unit is a *time slice*: each
- * spec's timeline is cut at RunSpec::shards boundaries, a live
- * ScenarioSession carries the device across slices, and a ready-queue
- * scheduler interleaves slices of different devices — slice i of device
- * A runs in parallel with slice j of device B, and consecutive slices
- * of the same device may run on different workers (live handoff via
- * ScenarioSession::bind()/unbind(); pending event closures make
- * restore-from-blob a non-starter for migration).
- *
- * Because a discrete-event simulator satisfies run(T1); run(T2) ≡
- * run(T2) exactly, the stitched execution is bit-identical to the
- * single shot — including the checkpoint digests emitted at
- * RunSpec::checkpointEvery boundaries, which is how CI proves it stays
- * that way.
+ * Former name of the execution engine. ParallelRunner schedules time
+ * slices itself (RunSpec::shards selects slicing), so this header only
+ * keeps the old name alive: perfbench/passes.cc includes it and names
+ * ShardedRunner, and perfbench/ changes only together with the
+ * benchmark definition. New code uses ParallelRunner from
+ * harness/runner.h.
  */
-
-#include <functional>
-#include <vector>
 
 #include "harness/runner.h"
 
 namespace leaseos::harness {
 
-/**
- * Fixed worker-pool executor scheduling individual time slices.
- */
-class ShardedRunner
-{
-  public:
-    explicit ShardedRunner(RunnerOptions options = {});
-
-    /** Resolved worker count (>= 1). */
-    int jobs() const { return jobs_; }
-
-    /**
-     * Run every spec, slicing each into its RunSpec::shards time slices;
-     * returns results in spec order, equal to what ParallelRunner
-     * produces for the same specs. @p onResult fires once per *completed
-     * spec* (serialised, completion order). Seeding matches
-     * ParallelRunner: RunnerOptions::baseSeed reseeds per spec index.
-     *
-     * New sessions are only opened when no started session has a slice
-     * ready, so live devices stay bounded near the worker count instead
-     * of the spec count.
-     */
-    std::vector<RunResult>
-    run(const std::vector<RunSpec> &specs,
-        const std::function<void(const RunResult &)> &onResult = {}) const;
-
-  private:
-    int jobs_ = 1;
-    RunnerOptions options_;
-};
-
-/**
- * Slice-boundary instants for @p duration cut into @p shards slices:
- * bounds[i] = (i+1)·duration/shards, monotone, last == duration. A
- * shard count < 1 is treated as 1.
- */
-std::vector<sim::Time> shardBounds(sim::Time duration, int shards);
+using ShardedRunner = ParallelRunner;
 
 } // namespace leaseos::harness
 

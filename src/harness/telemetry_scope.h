@@ -7,7 +7,7 @@
  * FlightRecorder a scenario run installs thread-locally (DESIGN.md §9).
  *
  * Historically an RAII block inside runScenario(); now a standalone class
- * with explicit install()/uninstall() because the sharded runner migrates
+ * with explicit install()/uninstall() because ParallelRunner migrates
  * a live device between worker threads mid-run — the sinks are owned by
  * the session and re-installed on whichever thread executes the next time
  * slice. Components cache MetricRegistry::current() at construction, so

@@ -142,8 +142,8 @@ class CpuModel : public PowerComponent
      * Restore state saved by saveState(). Throws CheckpointError when
      * the blob carries in-flight work (running tasks whose end events
      * are closures) or parked wake waiters — restore-from-blob requires
-     * a quiescent boundary; the sharded runner never needs one because
-     * it hands live devices between workers instead.
+     * a quiescent boundary; sliced execution never needs one because
+     * ParallelRunner hands live devices between workers instead.
      */
     void restoreState(sim::CheckpointReader &r);
 

@@ -12,7 +12,7 @@
  * blobs regardless of host, thread, or how execution was sliced. The
  * blobs back three things:
  *
- *  - the sharded runner's boundary verification (equal state ⇒ equal
+ *  - sliced execution's boundary verification (equal state ⇒ equal
  *    blob bytes, cheap to compare or checksum across job counts);
  *  - offline triage: tools/tracereplay decodes a blob and re-drives a
  *    slice's validation from it without replaying the whole prefix;

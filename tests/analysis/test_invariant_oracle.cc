@@ -231,7 +231,8 @@ TEST(InvariantOracle, Table5CellAuditsCleanUnderLeaseOS)
                                .withSeed(opt.seed));
     spec.install(device);
     spec.trigger(device);
-    sim::PeriodicHandle glances = harness::installGlanceScript(device, opt);
+    sim::PeriodicHandle glances = harness::installGlanceScript(
+        device, opt.glanceInterval, opt.glanceLength);
     device.start();
     device.runFor(10_min);
 

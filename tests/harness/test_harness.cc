@@ -131,10 +131,8 @@ TEST(ExperimentTest, GlanceScriptWakesDeviceBriefly)
 {
     DeviceConfig cfg;
     Device device(cfg);
-    MitigationRunOptions opt;
-    opt.glanceInterval = 2_min;
-    opt.glanceLength = 10_s;
-    sim::PeriodicHandle glances = installGlanceScript(device, opt);
+    sim::PeriodicHandle glances =
+        installGlanceScript(device, /*interval=*/2_min, /*length=*/10_s);
     device.start();
     device.runFor(10_min);
     // ~5 glances x 10 s of screen-on.

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <set>
+#include <string>
+#include <thread>
 
 #include "apps/buggy/k9_mail.h"
 #include "apps/buggy/torch.h"
@@ -264,6 +267,32 @@ TEST(ParallelRunnerTest, ParseJobsIsStrict)
     EXPECT_FALSE(ParallelRunner::parseJobs("").has_value());
     EXPECT_FALSE(ParallelRunner::parseJobs(nullptr).has_value());
     EXPECT_FALSE(ParallelRunner::parseJobs("999999999").has_value());
+}
+
+TEST(ParallelRunnerTest, DefaultJobsReadsEnvStrictly)
+{
+    // $LEASEOS_JOBS counts only as a positive integer; anything else
+    // (suffix, sign, zero, empty) falls back to the hardware count.
+    const char *saved = std::getenv("LEASEOS_JOBS");
+    std::string restore = saved != nullptr ? saved : "";
+    unsigned hw = std::thread::hardware_concurrency();
+    const int fallback = hw > 0 ? static_cast<int>(hw) : 1;
+
+    ::unsetenv("LEASEOS_JOBS");
+    EXPECT_EQ(ParallelRunner::defaultJobs(), fallback);
+    ::setenv("LEASEOS_JOBS", "3", 1);
+    EXPECT_EQ(ParallelRunner::defaultJobs(), 3);
+    EXPECT_EQ(ParallelRunner(RunnerOptions{}).jobs(), 3);
+    for (const char *bad : {"4x", "0", "", "-2", "+2", " 3", "999999999"}) {
+        ::setenv("LEASEOS_JOBS", bad, 1);
+        EXPECT_EQ(ParallelRunner::defaultJobs(), fallback)
+            << "LEASEOS_JOBS='" << bad << "'";
+    }
+
+    if (saved != nullptr)
+        ::setenv("LEASEOS_JOBS", restore.c_str(), 1);
+    else
+        ::unsetenv("LEASEOS_JOBS");
 }
 
 TEST(ParallelRunnerDeathTest, MalformedJobsFlagExitsWithUsage)

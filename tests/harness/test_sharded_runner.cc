@@ -1,24 +1,27 @@
 /**
  * @file
- * ShardedRunner equivalence tests (DESIGN.md §11).
+ * Sliced-execution tests for ParallelRunner (DESIGN.md §11).
  *
- * The sharded runner's whole contract is "same answer, different
- * wall-clock shape": cutting a scenario into K time slices, migrating
- * the live device between workers at each boundary, must be
- * *bit-identical* to the single-shot run — including the checkpoint
- * digests emitted along the way. These tests pin that equivalence for
- * real Table-5 cells, across shard counts and job counts, plus the
- * shardBounds partition arithmetic.
+ * Slicing's whole contract is "same answer, different wall-clock
+ * shape": cutting a scenario into K time slices (RunSpec::shards),
+ * migrating the live device between workers at each boundary, must be
+ * *bit-identical* to the single-shot runScenario() run — including the
+ * checkpoint digests emitted along the way. These tests pin that
+ * equivalence for real Table-5 cells, across shard counts and job
+ * counts, plus the shardBounds partition arithmetic and the error path
+ * (first error rethrown, every other spec still run and reported).
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apps/registry.h"
 #include "harness/experiment.h"
 #include "harness/runner.h"
-#include "harness/sharded_runner.h"
 
 namespace leaseos::harness {
 namespace {
@@ -77,7 +80,7 @@ TEST(ShardedRunnerTest, BitIdenticalToSingleShot)
 
     RunnerOptions options;
     options.jobs = 2;
-    ShardedRunner runner(options);
+    ParallelRunner runner(options);
     std::vector<RunResult> sharded = runner.run(specs);
 
     ASSERT_EQ(sharded.size(), expected.size());
@@ -93,11 +96,11 @@ TEST(ShardedRunnerTest, JobCountDoesNotChangeResults)
 
     RunnerOptions serial;
     serial.jobs = 1;
-    std::vector<RunResult> a = ShardedRunner(serial).run(specs);
+    std::vector<RunResult> a = ParallelRunner(serial).run(specs);
 
     RunnerOptions wide;
     wide.jobs = 8;
-    std::vector<RunResult> b = ShardedRunner(wide).run(specs);
+    std::vector<RunResult> b = ParallelRunner(wide).run(specs);
 
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -108,10 +111,11 @@ TEST(ShardedRunnerTest, JobCountDoesNotChangeResults)
 
 TEST(ShardedRunnerTest, ResultsStayInSpecOrderWithDerivedSeeds)
 {
-    // Mirror of ParallelRunner's ordering contract: per-spec derived
-    // seeds and spec-order collection are scheduling-independent, so the
-    // half-vanilla/half-LeaseOS device-index pinning in bench_fleet
-    // cannot be reordered by --jobs.
+    // Per-spec derived seeds and spec-order collection are
+    // scheduling-independent, so the half-vanilla/half-LeaseOS
+    // device-index pinning in bench_fleet cannot be reordered by --jobs.
+    // The reference is the single-shot run of each spec with its derived
+    // seed filled in by hand — no runner involved.
     std::vector<RunSpec> specs;
     for (int i = 0; i < 6; ++i) {
         MitigationRunOptions opt;
@@ -126,13 +130,11 @@ TEST(ShardedRunnerTest, ResultsStayInSpecOrderWithDerivedSeeds)
     RunnerOptions options;
     options.jobs = 4;
     options.baseSeed = 0x5eedULL;
-    ShardedRunner sharded(options);
-    ParallelRunner parallel(options);
+    ParallelRunner runner(options);
 
     std::size_t reported = 0;
     std::vector<RunResult> a =
-        sharded.run(specs, [&reported](const RunResult &) { ++reported; });
-    std::vector<RunResult> b = parallel.run(specs);
+        runner.run(specs, [&reported](const RunResult &) { ++reported; });
     EXPECT_EQ(reported, specs.size());
 
     ASSERT_EQ(a.size(), specs.size());
@@ -140,7 +142,12 @@ TEST(ShardedRunnerTest, ResultsStayInSpecOrderWithDerivedSeeds)
         EXPECT_EQ(a[i].name, "dev" + std::to_string(i));
         EXPECT_EQ(a[i].specIndex, i);
         EXPECT_EQ(a[i].seed, deriveSeed(0x5eedULL, i));
-        EXPECT_EQ(a[i], b[i]) << "sharded vs parallel, spec " << i;
+
+        RunSpec reseeded = specs[i];
+        reseeded.config.seed = deriveSeed(0x5eedULL, i);
+        RunResult expected = runScenario(reseeded);
+        expected.specIndex = i;
+        EXPECT_EQ(a[i], expected) << "sliced vs single shot, spec " << i;
     }
 }
 
@@ -153,13 +160,71 @@ TEST(ShardedRunnerTest, CheckpointInstantsIndependentOfSlicing)
 
     RunnerOptions options;
     options.jobs = 2;
-    std::vector<RunResult> a = ShardedRunner(options).run(s3);
-    std::vector<RunResult> b = ShardedRunner(options).run(s8);
+    std::vector<RunResult> a = ParallelRunner(options).run(s3);
+    std::vector<RunResult> b = ParallelRunner(options).run(s8);
 
     for (std::size_t i = 0; i < a.size(); ++i) {
         ASSERT_EQ(a[i].checkpoints.size(), 4u);
         EXPECT_EQ(a[i].checkpoints, b[i].checkpoints)
             << "checkpoint stream depends on slicing for " << s3[i].name;
+    }
+}
+
+/**
+ * Five one-minute specs; spec 2 throws from @p where ("setup", or
+ * "slice" for an event 40 s in, inside the second of three slices).
+ */
+std::vector<RunSpec>
+specsWithFailure(int shards, const std::string &where)
+{
+    std::vector<RunSpec> specs;
+    for (int i = 0; i < 5; ++i) {
+        specs.push_back(RunSpec{}
+                            .withName("spec" + std::to_string(i))
+                            .withDuration(sim::Time::fromMinutes(1.0))
+                            .withShards(shards));
+    }
+    if (where == "setup") {
+        specs[2].withSetup([](Device &) {
+            throw std::runtime_error("spec 2 failed");
+        });
+    } else {
+        specs[2].withPostStart([](Device &d) {
+            d.simulator().schedule(sim::Time::fromSeconds(40.0), [] {
+                throw std::runtime_error("spec 2 failed");
+            });
+        });
+    }
+    return specs;
+}
+
+TEST(ShardedRunnerTest, FirstErrorRethrownAfterOtherSpecsFinish)
+{
+    // A hang here (a worker waiting for a session that will never be
+    // ready) trips the test's ctest timeout.
+    for (const std::string where : {"setup", "slice"}) {
+        for (int shards : {1, 3}) {
+            for (int jobs : {1, 4}) {
+                SCOPED_TRACE(where + ", shards=" + std::to_string(shards) +
+                             ", jobs=" + std::to_string(jobs));
+                RunnerOptions options;
+                options.jobs = jobs;
+                ParallelRunner runner(options);
+                std::map<std::size_t, int> reported;
+                try {
+                    runner.run(specsWithFailure(shards, where),
+                               [&reported](const RunResult &r) {
+                                   ++reported[r.specIndex];
+                               });
+                    ADD_FAILURE() << "run() returned normally";
+                } catch (const std::runtime_error &e) {
+                    EXPECT_STREQ(e.what(), "spec 2 failed");
+                }
+                std::map<std::size_t, int> expected = {
+                    {0, 1}, {1, 1}, {3, 1}, {4, 1}};
+                EXPECT_EQ(reported, expected);
+            }
+        }
     }
 }
 

@@ -35,7 +35,6 @@
 #include "harness/experiment.h"
 #include "harness/result_sink.h"
 #include "harness/runner.h"
-#include "harness/sharded_runner.h"
 #include "lease/behavior.h"
 
 #ifndef LEASEOS_TEST_GOLDEN_DIR
@@ -259,8 +258,8 @@ TEST(DeterminismGoldenTest, CheckpointBlobsByteIdentical)
     // Pins the encoding of real device blobs, not just a toy frame: four
     // apps spanning the profiler-heavy GPS retry shape, a partial
     // wakelock, a sensor listener and a Wi-Fi lock, each with and
-    // without the lease runtime, checkpointed every virtual hour through
-    // ShardedRunner. A blob's size and FNV-1a payload digest change with
+    // without the lease runtime, checkpointed every virtual hour and run
+    // in three time slices. A blob's size and FNV-1a payload digest change with
     // any byte of any section, so this golden catches an encoder that
     // reorders, pads or re-encodes a field even when simulation output
     // stays the same.
@@ -291,7 +290,7 @@ TEST(DeterminismGoldenTest, CheckpointBlobsByteIdentical)
     RunnerOptions options;
     options.jobs = 4;
     options.baseSeed = 0xc4b10bULL;
-    auto results = ShardedRunner(options).run(specs);
+    auto results = ParallelRunner(options).run(specs);
 
     JsonSink json;
     json.begin("golden_checkpoint_blobs",

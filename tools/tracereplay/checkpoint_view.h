@@ -5,8 +5,8 @@
  * @file
  * Offline view of a device checkpoint blob (DESIGN.md §11).
  *
- * The sharded runner (and `bench_fleet --shard-minutes`) writes framed
- * snapshot blobs at slice boundaries. This module lets tracereplay
+ * Sliced runs (RunSpec::shards, `bench_fleet --shard-minutes`) write
+ * framed snapshot blobs at slice boundaries. This module lets tracereplay
  * triage them without a simulator:
  *
  *  - decode the section table and the load-bearing scalars (sim clock,
