@@ -22,8 +22,9 @@
  * runs sliced and unsliced fleets, and results are bit-identical to the
  * unsharded run), --jobs=N / -j N (worker pool, default automatic),
  * --trace=PATH (export the first LeaseOS device's trace ring; needs a
- * -DLEASEOS_TRACING=ON build). CI smoke runs `--devices=50
- * --minutes=5`; the sharded smoke adds `--shard-minutes=10`.
+ * -DLEASEOS_TRACING=ON build). Any other argument, or a bad value, is a
+ * usage error (exit 2). CI smoke runs `--devices=50 --minutes=5`; the
+ * sharded smoke adds `--shard-minutes=10`.
  *
  * Runs of 12 h or longer coarsen the power-profiler sampling period from
  * 100 ms to 10 s so a week-long fleet's TimeSeries memory stays bounded.
@@ -69,14 +70,14 @@ nowNanos()
 }
 
 [[noreturn]] void
-usageError(const char *flag)
+usageError(const char *what, const char *flag)
 {
     std::fprintf(stderr,
-                 "bench_fleet: bad value for %s\n"
+                 "bench_fleet: %s %s\n"
                  "usage: bench_fleet [--devices=N (1..500)] "
                  "[--minutes=M (1..10080)] [--shard-minutes=S] "
-                 "[--jobs=N | -j N]\n",
-                 flag);
+                 "[--trace=PATH] [--jobs N | --jobs=N | -j N | -jN]\n",
+                 what, flag);
     std::exit(2);
 }
 
@@ -84,10 +85,10 @@ usageError(const char *flag)
 long
 parseValue(const char *text, const char *flag, long lo, long hi)
 {
-    if (text == nullptr || *text == '\0') usageError(flag);
+    if (text == nullptr || *text == '\0') usageError("bad value for", flag);
     char *end = nullptr;
     long v = std::strtol(text, &end, 10);
-    if (*end != '\0' || v < lo || v > hi) usageError(flag);
+    if (*end != '\0' || v < lo || v > hi) usageError("bad value for", flag);
     return v;
 }
 
@@ -113,7 +114,9 @@ main(int argc, char **argv)
     long shardMinutes = 0; // 0 = one slice per device
     std::string tracePath;
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--devices=", 10) == 0)
+        if (int width = harness::ParallelRunner::jobsFlagArgs(argv[i]))
+            i += width - 1; // parseArgs() below reads the value
+        else if (std::strncmp(argv[i], "--devices=", 10) == 0)
             devices = parseValue(argv[i] + 10, "--devices", 1, 500);
         else if (std::strncmp(argv[i], "--minutes=", 10) == 0)
             minutes = parseValue(argv[i] + 10, "--minutes", 1, 7 * 24 * 60);
@@ -122,6 +125,8 @@ main(int argc, char **argv)
                                       7 * 24 * 60);
         else if (std::strncmp(argv[i], "--trace=", 8) == 0)
             tracePath = argv[i] + 8;
+        else
+            usageError("unknown flag", argv[i]);
     }
     // Long runs: coarsen profiler sampling (bounded TimeSeries memory
     // over a week) and add the hour-granular diurnal glance cycle.

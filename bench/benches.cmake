@@ -21,3 +21,9 @@ foreach(bench_name bench_eventqueue bench_fleet)
     target_include_directories(${bench_name} PRIVATE
         ${CMAKE_CURRENT_LIST_DIR})
 endforeach()
+
+# An unknown flag is a usage error (exit 2), not a default-sized run.
+add_test(NAME bench_fleet_rejects_--device=5
+    COMMAND ${CMAKE_COMMAND} -DCMD=$<TARGET_FILE:bench_fleet>
+        -DARG=--device=5 -DEXPECT=2
+        -P ${CMAKE_SOURCE_DIR}/cmake/expect_exit.cmake)

@@ -10,6 +10,10 @@
  * power in exact IEEE-754 bits, lease counters, and every checkpoint's
  * {time, size, payload digest} — is written as canonical JSON to --out.
  *
+ * Flags: --shards=N (1..64), --out=PATH, --ckpt-dir=DIR and the
+ * runner's jobs forms; anything else, or a malformed value, is a usage
+ * error (exit 2), so a typo cannot quietly run the single-shot path.
+ *
  * CI runs this three times (--shards=1/4/8) and diffs the three files
  * byte-for-byte: any divergence between single-shot and sliced execution
  * of the same virtual timeline fails the gate. Built with
@@ -65,6 +69,18 @@ writeResult(std::FILE *f, const harness::RunResult &r)
     std::fprintf(f, "    ]\n  }");
 }
 
+[[noreturn]] void
+usage(const char *offender)
+{
+    std::fprintf(stderr,
+                 "sharded_cell: bad argument '%s'\n"
+                 "usage: sharded_cell [--shards=N (1..64)] "
+                 "[--out=PATH] [--ckpt-dir=DIR] "
+                 "[--jobs N | --jobs=N | -j N | -jN]\n",
+                 offender);
+    std::exit(2);
+}
+
 } // namespace
 
 int
@@ -74,19 +90,26 @@ main(int argc, char **argv)
     std::string outPath;
     std::string ckptDir;
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--shards=", 9) == 0)
-            shards = std::strtol(argv[i] + 9, nullptr, 10);
-        else if (std::strncmp(argv[i], "--out=", 6) == 0)
-            outPath = argv[i] + 6;
-        else if (std::strncmp(argv[i], "--ckpt-dir=", 11) == 0)
-            ckptDir = argv[i] + 11;
+        const char *arg = argv[i];
+        if (int width = harness::ParallelRunner::jobsFlagArgs(arg)) {
+            i += width - 1; // parseArgs() below reads the value
+        } else if (std::strncmp(arg, "--shards=", 9) == 0) {
+            char *end = nullptr;
+            shards = std::strtol(arg + 9, &end, 10);
+            if (end == arg + 9 || *end != '\0' || shards < 1 || shards > 64)
+                usage(arg);
+        } else if (std::strncmp(arg, "--out=", 6) == 0) {
+            outPath = arg + 6;
+        } else if (std::strncmp(arg, "--ckpt-dir=", 11) == 0) {
+            ckptDir = arg + 11;
+        } else {
+            usage(arg);
+        }
     }
-    if (shards < 1 || shards > 64) {
-        std::fprintf(stderr,
-                     "usage: sharded_cell [--shards=N (1..64)] "
-                     "[--out=PATH] [--ckpt-dir=DIR] [--jobs=N]\n");
-        return 2;
-    }
+    // Validates a jobs value even on the single-shot path, which runs
+    // no pool.
+    harness::RunnerOptions runnerOptions =
+        harness::ParallelRunner::parseArgs(argc, argv);
 
     const apps::BuggyAppSpec &app = apps::buggySpec("torch");
     harness::MitigationRunOptions opt; // 30 min, Pixel XL, user glances
@@ -113,9 +136,7 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < results.size(); ++i)
             results[i].specIndex = i;
     } else {
-        harness::ParallelRunner runner(
-            harness::ParallelRunner::parseArgs(argc, argv));
-        results = runner.run(specs);
+        results = harness::ParallelRunner(runnerOptions).run(specs);
     }
 
     std::FILE *f =

@@ -145,17 +145,15 @@ ParallelRunner::parseArgs(int argc, char **argv)
         const char *arg = argv[i];
         const char *value = nullptr;
         std::string offender = arg;
-        if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0) {
+        int width = jobsFlagArgs(arg);
+        if (width == 0) continue; // other flags belong to the bench
+        if (width == 2) {
             // Separated form: the value is the next argv entry.
             if (i + 1 >= argc) jobsUsageError(prog, offender);
             value = argv[++i];
             offender += std::string(" ") + value;
-        } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-            value = arg + 7;
-        } else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0') {
-            value = arg + 2;
         } else {
-            continue; // not a jobs flag; other flags belong to the bench
+            value = arg + (arg[1] == '-' ? 7 : 2); // "--jobs=" or "-j"
         }
         std::optional<int> jobs = parseJobs(value);
         if (!jobs) jobsUsageError(prog, offender);
@@ -163,6 +161,17 @@ ParallelRunner::parseArgs(int argc, char **argv)
         break;
     }
     return options;
+}
+
+int
+ParallelRunner::jobsFlagArgs(const char *arg)
+{
+    if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0)
+        return 2;
+    if (std::strncmp(arg, "--jobs=", 7) == 0 ||
+        (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0'))
+        return 1;
+    return 0;
 }
 
 ParallelRunner::ParallelRunner(RunnerOptions options)

@@ -267,7 +267,7 @@ struct RunResult {
     struct CheckpointStat {
         std::int64_t timeNanos = 0;   ///< sim time of the boundary
         std::uint64_t sizeBytes = 0;  ///< framed blob size
-        std::uint64_t digest = 0;     ///< FNV-1a 64 over the payload
+        std::uint64_t digest = 0;     ///< XXH64 over the payload (format 2)
         friend bool operator==(const CheckpointStat &,
                                const CheckpointStat &) = default;
     };
@@ -385,6 +385,14 @@ class ParallelRunner
      * status 2 — never silently falls back to the default.
      */
     static RunnerOptions parseArgs(int argc, char **argv);
+
+    /**
+     * How many argv entries the jobs flag starting at @p arg spans: 2
+     * for the separated `--jobs N` / `-j N` forms, 1 for `--jobs=N` /
+     * `-jN`, 0 when @p arg is not a jobs flag. Lets a program with its
+     * own strict flag loop step over what parseArgs() reads.
+     */
+    static int jobsFlagArgs(const char *arg);
 
     /**
      * Strictly parse a jobs value: decimal digits only, >= 0 (0 means

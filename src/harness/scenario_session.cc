@@ -11,16 +11,6 @@ namespace leaseos::harness {
 
 namespace {
 
-/** The frame's stored payload digest (header offset 24, LE). */
-std::uint64_t
-frameDigest(const std::vector<std::uint8_t> &blob)
-{
-    std::uint64_t d = 0;
-    for (std::size_t i = 0; i < 8; ++i)
-        d |= static_cast<std::uint64_t>(blob[24 + i]) << (8 * i);
-    return d;
-}
-
 /** Run names ("w/o lease") become filesystem-safe blob stems. */
 std::string
 sanitizeName(const std::string &name)
@@ -97,7 +87,7 @@ ScenarioSession::emitCheckpoint()
     RunResult::CheckpointStat stat;
     stat.timeNanos = device_->simulator().now().nanos();
     stat.sizeBytes = blob.size();
-    stat.digest = frameDigest(blob);
+    stat.digest = sim::checkpointStoredDigest(blob);
     checkpoints_.push_back(stat);
     if (!spec_->checkpointDir.empty()) {
         std::error_code ec; // best-effort, like the write warning below

@@ -9,6 +9,7 @@ namespace {
 
 constexpr char kMagic[8] = {'L', 'O', 'S', 'C', 'K', 'P', 'T', '1'};
 constexpr std::size_t kHeaderSize = 8 + 4 + 4 + 8 + 8;
+constexpr std::size_t kDigestOffset = 24;
 static_assert(CheckpointWriter::kInitialCapacity >= kHeaderSize);
 
 // Host order is wire order (static_assert in checkpoint.h).
@@ -28,17 +29,69 @@ store(std::uint8_t *p, T v)
     std::memcpy(p, &v, sizeof v);
 }
 
+// XXH64 (seed 0): four 8-byte lanes over each 32-byte stripe, then the
+// 8-, 4- and 1-byte tails, then the avalanche. Same output as the
+// reference xxHash implementation.
+constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ULL;
+constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr std::uint64_t kP3 = 0x165667b19e3779f9ULL;
+constexpr std::uint64_t kP4 = 0x85ebca77c2b2ae63ULL;
+constexpr std::uint64_t kP5 = 0x27d4eb2f165667c5ULL;
+
+std::uint64_t
+xxhRound(std::uint64_t acc, std::uint64_t lane)
+{
+    return std::rotl(acc + lane * kP2, 31) * kP1;
+}
+
+std::uint64_t
+xxhMerge(std::uint64_t h, std::uint64_t acc)
+{
+    return (h ^ xxhRound(0, acc)) * kP1 + kP4;
+}
+
 } // namespace
 
 std::uint64_t
 checkpointDigest(const std::uint8_t *data, std::size_t size)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i < size; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ULL;
+    const std::uint8_t *p = data;
+    const std::uint8_t *const end = data + size;
+    std::uint64_t h = kP5;
+    if (size >= 32) {
+        std::uint64_t v1 = kP1 + kP2, v2 = kP2, v3 = 0, v4 = 0 - kP1;
+        for (; end - p >= 32; p += 32) {
+            v1 = xxhRound(v1, load<std::uint64_t>(p));
+            v2 = xxhRound(v2, load<std::uint64_t>(p + 8));
+            v3 = xxhRound(v3, load<std::uint64_t>(p + 16));
+            v4 = xxhRound(v4, load<std::uint64_t>(p + 24));
+        }
+        h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+            std::rotl(v4, 18);
+        h = xxhMerge(xxhMerge(xxhMerge(xxhMerge(h, v1), v2), v3), v4);
     }
-    return h;
+    h += size;
+    for (; end - p >= 8; p += 8)
+        h = std::rotl(h ^ xxhRound(0, load<std::uint64_t>(p)), 27) * kP1 +
+            kP4;
+    if (end - p >= 4) {
+        h ^= load<std::uint32_t>(p) * kP1;
+        h = std::rotl(h, 23) * kP2 + kP3;
+        p += 4;
+    }
+    for (; p != end; ++p) h = std::rotl(h ^ (*p * kP5), 11) * kP1;
+    h = (h ^ (h >> 33)) * kP2;
+    h = (h ^ (h >> 29)) * kP3;
+    return h ^ (h >> 32);
+}
+
+std::uint64_t
+checkpointStoredDigest(const std::vector<std::uint8_t> &blob)
+{
+    if (blob.size() < kHeaderSize)
+        throw CheckpointError("checkpoint truncated: " +
+                              std::to_string(blob.size()) + " bytes");
+    return load<std::uint64_t>(blob.data() + kDigestOffset);
 }
 
 // ---- CheckpointWriter ----------------------------------------------------
@@ -86,7 +139,8 @@ CheckpointWriter::finish()
     store<std::uint32_t>(h + 8, kCheckpointFormatVersion);
     store<std::uint32_t>(h + 12, 0); // reserved
     store<std::uint64_t>(h + 16, payloadSize);
-    store<std::uint64_t>(h + 24, checkpointDigest(payload, payloadSize));
+    store<std::uint64_t>(h + kDigestOffset,
+                         checkpointDigest(payload, payloadSize));
     buf_.resize(pos_);
     std::vector<std::uint8_t> out;
     out.swap(buf_); // leaves buf_ empty: the next write reserves a header
@@ -117,7 +171,7 @@ CheckpointReader::CheckpointReader(const std::uint8_t *data,
             "checkpoint payload size mismatch: header says " +
             std::to_string(payloadSize) + ", file has " +
             std::to_string(size - kHeaderSize));
-    std::uint64_t digest = load<std::uint64_t>(data + 24);
+    std::uint64_t digest = load<std::uint64_t>(data + kDigestOffset);
     std::uint64_t actual = checkpointDigest(data + kHeaderSize, payloadSize);
     if (digest != actual)
         throw CheckpointError("checkpoint digest mismatch (corrupt blob)");

@@ -7,7 +7,7 @@
  *
  * A checkpoint serializes the explicit state of a running simulation to a
  * byte blob at a sim-time boundary: fixed little-endian encoding, named
- * versioned sections (one per component), and an FNV-1a digest over the
+ * versioned sections (one per component), and an XXH64 digest over the
  * payload, so two runs that reach the same state produce byte-identical
  * blobs regardless of host, thread, or how execution was sliced. The
  * blobs back three things:
@@ -27,9 +27,13 @@
  * byte order this build accepts — see the static_assert below):
  *
  *     header:  "LOSCKPT1" | u32 format | u32 reserved(0)
- *              | u64 payloadSize | u64 fnv1a64(payload)
+ *              | u64 payloadSize | u64 xxh64(payload, seed 0)
  *     payload: section*
  *     section: u32 nameLen | name bytes | u32 version | u64 bodyLen | body
+ *
+ * The header is 32 bytes; the digest is the u64 at offset 24. Format 2
+ * (XXH64) is the only format read: format-1 blobs, which carried an
+ * FNV-1a-64 digest, fail the format check like any unknown version.
  *
  * Readers fail with CheckpointError (an exception, never abort) on bad
  * magic, unknown format, digest mismatch, truncation, out-of-order
@@ -63,10 +67,17 @@ class CheckpointError : public std::runtime_error
 };
 
 /** Current top-level wire-format version. */
-constexpr std::uint32_t kCheckpointFormatVersion = 1;
+constexpr std::uint32_t kCheckpointFormatVersion = 2;
 
-/** FNV-1a 64-bit over a byte range (the payload digest). */
+/** XXH64 with seed 0 over a byte range (the payload digest). */
 std::uint64_t checkpointDigest(const std::uint8_t *data, std::size_t size);
+
+/**
+ * The payload digest stored in @p blob's frame header, unverified (the
+ * reader checks it). Throws CheckpointError when the blob is shorter
+ * than the header.
+ */
+std::uint64_t checkpointStoredDigest(const std::vector<std::uint8_t> &blob);
 
 /**
  * Appends typed values into a sectioned checkpoint payload.

@@ -253,6 +253,17 @@ TEST(ParallelRunnerTest, ParseArgsReadsJobsFlag)
                   3, const_cast<char **>(argv6)).jobs, 4);
 }
 
+TEST(ParallelRunnerTest, JobsFlagArgsCountsWhatParseArgsReads)
+{
+    EXPECT_EQ(ParallelRunner::jobsFlagArgs("--jobs"), 2);
+    EXPECT_EQ(ParallelRunner::jobsFlagArgs("-j"), 2);
+    EXPECT_EQ(ParallelRunner::jobsFlagArgs("--jobs=4"), 1);
+    EXPECT_EQ(ParallelRunner::jobsFlagArgs("-j4"), 1);
+    EXPECT_EQ(ParallelRunner::jobsFlagArgs("--jobs4"), 0);
+    EXPECT_EQ(ParallelRunner::jobsFlagArgs("--devices=5"), 0);
+    EXPECT_EQ(ParallelRunner::jobsFlagArgs("4"), 0);
+}
+
 TEST(ParallelRunnerTest, ParseJobsIsStrict)
 {
     // Regression: atoi turned "abc" into 0 (= automatic), silently

@@ -259,10 +259,11 @@ TEST(DeterminismGoldenTest, CheckpointBlobsByteIdentical)
     // apps spanning the profiler-heavy GPS retry shape, a partial
     // wakelock, a sensor listener and a Wi-Fi lock, each with and
     // without the lease runtime, checkpointed every virtual hour and run
-    // in three time slices. A blob's size and FNV-1a payload digest change with
-    // any byte of any section, so this golden catches an encoder that
-    // reorders, pads or re-encodes a field even when simulation output
-    // stays the same.
+    // in three time slices. A blob's size and XXH64 payload digest
+    // (format 2; format-1 blobs carried FNV-1a and are no longer read)
+    // change with any byte of any section, so this golden catches an
+    // encoder that reorders, pads or re-encodes a field even when
+    // simulation output stays the same.
     const MitigationMode modes[] = {MitigationMode::None,
                                     MitigationMode::LeaseOS};
     MitigationRunOptions opt;

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/checkpoint.h"
@@ -106,16 +107,102 @@ TEST(CheckpointWireTest, GoldenFrameBytesPinned)
     std::vector<std::uint8_t> blob = w.finish();
 
     EXPECT_EQ(hex(blob),
-              // header: magic "LOSCKPT1" | format=1 | reserved
-              "4c4f53434b505431" "01000000" "00000000"
-              // u64 payloadSize=48 | u64 fnv1a64(payload)
-              "3000000000000000" "3e9ad87e1892c156"
+              // header: magic "LOSCKPT1" | format=2 | reserved
+              "4c4f53434b505431" "02000000" "00000000"
+              // u64 payloadSize=48 | u64 xxh64(payload, seed 0)
+              "3000000000000000" "f592f48dcfbd37e7"
               // section "a" v1, body 5 bytes: u8 11, u32 55443322(le)
               "01000000" "61" "01000000" "0500000000000000"
               "11" "55443322"
               // section "bb" v2, body 8 bytes: u64 ddccbbaa99887766(le)
               "02000000" "6262" "02000000" "0800000000000000"
               "ddccbbaa99887766");
+}
+
+/** Bytes (i*31+7) & 0xff for i in [0, n): the known-answer input. */
+std::vector<std::uint8_t>
+katBytes(std::size_t n)
+{
+    std::vector<std::uint8_t> out(n);
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = static_cast<std::uint8_t>((i * 31 + 7) & 0xff);
+    return out;
+}
+
+TEST(CheckpointDigestTest, MatchesXxh64KnownAnswers)
+{
+    // Reference XXH64 (seed 0) values. The lengths cover the short path
+    // (< 32), exactly one stripe, stripes plus each of the 8-, 4- and
+    // 1-byte tails, and several stripes.
+    const std::pair<std::size_t, std::uint64_t> cases[] = {
+        {0, 0xef46db3751d8e999ULL},   {3, 0x56e6957632a487f9ULL},
+        {31, 0x4a74f3a1a39ad4a1ULL},  {32, 0x8d57d6a4671cc43dULL},
+        {33, 0x62c9fd21ed857664ULL},  {36, 0xa4475c606b0abc3cULL},
+        {63, 0x5c320a0d2707057fULL},  {64, 0x7bbabbc45729d17eULL},
+        {100, 0xefa0ad2d3e70c151ULL}, {257, 0x6ff15897658784e0ULL},
+    };
+    for (const auto &[n, want] : cases) {
+        std::vector<std::uint8_t> in = katBytes(n);
+        EXPECT_EQ(checkpointDigest(in.data(), in.size()), want)
+            << "length " << n;
+    }
+    const std::uint8_t abc[] = {'a', 'b', 'c'};
+    EXPECT_EQ(checkpointDigest(abc, sizeof abc), 0x44bc2cf5ad770999ULL);
+}
+
+TEST(CheckpointDigestTest, EverySingleBitFlipIsRejected)
+{
+    for (std::size_t n : {1, 31, 32, 33, 100, 4096}) {
+        // Frame check only: the payload need not parse as sections.
+        std::vector<std::uint8_t> blob = CheckpointWriter().finish();
+        std::vector<std::uint8_t> payload = katBytes(n);
+        blob.insert(blob.end(), payload.begin(), payload.end());
+        patchU64(blob, 16, n);
+        reseal(blob);
+        ASSERT_EQ(blob.size(), kHeaderBytes + n);
+        ASSERT_NO_THROW(CheckpointReader r(blob)) << "length " << n;
+        for (std::size_t bit = 0; bit < 8 * n; ++bit) {
+            std::vector<std::uint8_t> bad = blob;
+            bad[kHeaderBytes + bit / 8] ^=
+                static_cast<std::uint8_t>(1u << (bit % 8));
+            EXPECT_THROW(CheckpointReader r(bad), CheckpointError)
+                << "length " << n << ", bit " << bit;
+        }
+    }
+}
+
+TEST(CheckpointDigestTest, StoredDigestIsReadFromTheHeader)
+{
+    CheckpointWriter w;
+    w.beginSection("s", 1);
+    w.u64(7);
+    w.endSection();
+    std::vector<std::uint8_t> blob = w.finish();
+    EXPECT_EQ(checkpointStoredDigest(blob),
+              checkpointDigest(blob.data() + kHeaderBytes,
+                               blob.size() - kHeaderBytes));
+    blob.resize(kHeaderBytes - 1);
+    EXPECT_THROW(checkpointStoredDigest(blob), CheckpointError);
+}
+
+TEST(CheckpointDigestTest, FormatOneBlobIsRejectedNamingBothVersions)
+{
+    // A format-1 frame (FNV-1a-64 digest) is no longer read, even when
+    // its digest is right for the payload under the current hash.
+    CheckpointWriter w;
+    w.beginSection("s", 1);
+    w.u64(7);
+    w.endSection();
+    std::vector<std::uint8_t> blob = w.finish();
+    blob[8] = 1;
+    try {
+        CheckpointReader r(blob);
+        FAIL() << "format-1 blob was accepted";
+    } catch (const CheckpointError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "unsupported checkpoint format version 1 (this build "
+                  "reads 2)");
+    }
 }
 
 TEST(CheckpointWireTest, DigestCorruptionDetected)
