@@ -38,6 +38,7 @@
 #include "sim/random.h"
 #include "sim/time.h"
 #include "support/alloc_counter.h"
+#include "support/flags.h"
 
 using namespace leaseos;
 using sim::EventId;
@@ -253,17 +254,24 @@ benchCancelChurn(std::uint64_t n, std::uint64_t window, int reps)
 int
 main(int argc, char **argv)
 {
-    // --ops N scales every workload (default 1M ops; CI smoke uses less).
+    // --ops=N scales every workload (default 500,000 ops).
+    const benchsupport::Usage usage{
+        "bench_eventqueue",
+        "[--ops=N (1..100000000)] [--reps=R (1..1000)] [--trace=PATH]"};
     std::uint64_t n = 500'000;
     int reps = 5;
     std::string tracePath;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--ops=", 6) == 0)
-            n = std::strtoull(argv[i] + 6, nullptr, 10);
+            n = static_cast<std::uint64_t>(
+                usage.value(argv[i] + 6, "--ops", 1, 100'000'000));
         else if (std::strncmp(argv[i], "--reps=", 7) == 0)
-            reps = static_cast<int>(std::strtol(argv[i] + 7, nullptr, 10));
+            reps = static_cast<int>(
+                usage.value(argv[i] + 7, "--reps", 1, 1000));
         else if (std::strncmp(argv[i], "--trace=", 8) == 0)
             tracePath = argv[i] + 8;
+        else
+            usage.error("unknown flag", argv[i]);
     }
 
     // Install the ring before any workload constructs a queue (queues

@@ -52,6 +52,7 @@
 #include "harness/result_sink.h"
 #include "harness/runner.h"
 #include "support/alloc_counter.h"
+#include "support/flags.h"
 
 using namespace leaseos;
 using harness::MitigationMode;
@@ -69,28 +70,10 @@ nowNanos()
         .count();
 }
 
-[[noreturn]] void
-usageError(const char *what, const char *flag)
-{
-    std::fprintf(stderr,
-                 "bench_fleet: %s %s\n"
-                 "usage: bench_fleet [--devices=N (1..500)] "
-                 "[--minutes=M (1..10080)] [--shard-minutes=S] "
-                 "[--trace=PATH] [--jobs N | --jobs=N | -j N | -jN]\n",
-                 what, flag);
-    std::exit(2);
-}
-
-/** Strict positive-integer flag value; exits with usage on garbage. */
-long
-parseValue(const char *text, const char *flag, long lo, long hi)
-{
-    if (text == nullptr || *text == '\0') usageError("bad value for", flag);
-    char *end = nullptr;
-    long v = std::strtol(text, &end, 10);
-    if (*end != '\0' || v < lo || v > hi) usageError("bad value for", flag);
-    return v;
-}
+const benchsupport::Usage kUsage{
+    "bench_fleet",
+    "[--devices=N (1..500)] [--minutes=M (1..10080)] [--shard-minutes=S] "
+    "[--trace=PATH] [--jobs N | --jobs=N | -j N | -jN]"};
 
 struct ModeAgg {
     double powerSum = 0.0;
@@ -117,16 +100,16 @@ main(int argc, char **argv)
         if (int width = harness::ParallelRunner::jobsFlagArgs(argv[i]))
             i += width - 1; // parseArgs() below reads the value
         else if (std::strncmp(argv[i], "--devices=", 10) == 0)
-            devices = parseValue(argv[i] + 10, "--devices", 1, 500);
+            devices = kUsage.value(argv[i] + 10, "--devices", 1, 500);
         else if (std::strncmp(argv[i], "--minutes=", 10) == 0)
-            minutes = parseValue(argv[i] + 10, "--minutes", 1, 7 * 24 * 60);
+            minutes = kUsage.value(argv[i] + 10, "--minutes", 1, 7 * 24 * 60);
         else if (std::strncmp(argv[i], "--shard-minutes=", 16) == 0)
-            shardMinutes = parseValue(argv[i] + 16, "--shard-minutes", 1,
-                                      7 * 24 * 60);
+            shardMinutes = kUsage.value(argv[i] + 16, "--shard-minutes", 1,
+                                        7 * 24 * 60);
         else if (std::strncmp(argv[i], "--trace=", 8) == 0)
             tracePath = argv[i] + 8;
         else
-            usageError("unknown flag", argv[i]);
+            kUsage.error("unknown flag", argv[i]);
     }
     // Long runs: coarsen profiler sampling (bounded TimeSeries memory
     // over a week) and add the hour-granular diurnal glance cycle.

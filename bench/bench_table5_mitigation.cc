@@ -25,6 +25,9 @@
  * `--flightrec-dir=DIR` installs an obs::FlightRecorder per cell: if the
  * checked-mode oracle aborts, the cell's trace ring and metrics snapshot
  * land in DIR/flightrec-<cell>-*.json for tools/tracereplay triage.
+ *
+ * Any other argument, or an empty directory, is a usage error (exit 2):
+ * a mistyped `--trace_dir=` must not silently run without telemetry.
  */
 
 #include <cstring>
@@ -36,6 +39,7 @@
 #include "harness/result_sink.h"
 #include "harness/runner.h"
 #include "harness/table.h"
+#include "support/flags.h"
 
 using namespace leaseos;
 using harness::MitigationMode;
@@ -47,13 +51,21 @@ main(int argc, char **argv)
 {
     harness::MitigationRunOptions opt; // 30 min, Pixel XL, user glances
 
+    const benchsupport::Usage usage{
+        "bench_table5_mitigation",
+        "[--trace-dir=DIR] [--flightrec-dir=DIR] "
+        "[--jobs N | --jobs=N | -j N | -jN]"};
     std::string traceDir;
     std::string flightRecDir;
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--trace-dir=", 12) == 0)
-            traceDir = argv[i] + 12;
+        if (int width = harness::ParallelRunner::jobsFlagArgs(argv[i]))
+            i += width - 1; // parseArgs() below reads the value
+        else if (std::strncmp(argv[i], "--trace-dir=", 12) == 0)
+            traceDir = usage.text(argv[i] + 12, "--trace-dir");
         else if (std::strncmp(argv[i], "--flightrec-dir=", 16) == 0)
-            flightRecDir = argv[i] + 16;
+            flightRecDir = usage.text(argv[i] + 16, "--flightrec-dir");
+        else
+            usage.error("unknown flag", argv[i]);
     }
 
     const MitigationMode modes[] = {

@@ -4,15 +4,15 @@
 
 namespace leaseos::app {
 
+// Non-checkpointable apps never reach these (Device checks the flag);
+// checkpointable subclasses override both.
 void
-App::saveState(sim::CheckpointWriter &) const
+App::checkpoint(sim::CheckpointSaver &)
 {
-    // Non-checkpointable apps never reach here (Device checks the flag);
-    // checkpointable subclasses must override both hooks.
 }
 
 void
-App::restoreState(sim::CheckpointReader &)
+App::checkpoint(sim::CheckpointLoader &)
 {
 }
 

@@ -17,8 +17,8 @@
 #include "app/app_process.h"
 
 namespace leaseos::sim {
-class CheckpointWriter;
-class CheckpointReader;
+class CheckpointSaver;
+class CheckpointLoader;
 } // namespace leaseos::sim
 
 namespace leaseos::app {
@@ -69,17 +69,13 @@ class App
     virtual bool checkpointable() const { return false; }
 
     /**
-     * Append behaviour state to the device's "apps" section. Only called
-     * when checkpointable(); the default writes nothing.
+     * Behaviour state in the device's "apps" section, one overload per
+     * direction: a checkpointable app runs its field list in both, and
+     * after loading re-arms its timer from the serialized deadline. Only
+     * called when checkpointable(); the defaults carry nothing.
      */
-    virtual void saveState(sim::CheckpointWriter &w) const;
-
-    /**
-     * Restore behaviour state saved by saveState() and re-arm the app's
-     * timer from its serialized deadline. Only called when
-     * checkpointable().
-     */
-    virtual void restoreState(sim::CheckpointReader &r);
+    virtual void checkpoint(sim::CheckpointSaver &io);
+    virtual void checkpoint(sim::CheckpointLoader &io);
 
   protected:
     /** Note a severe exception the app raised (feeds generic utility). */

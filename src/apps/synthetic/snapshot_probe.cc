@@ -36,32 +36,30 @@ SnapshotProbeApp::tick()
     arm();
 }
 
+template <class Io>
 void
-SnapshotProbeApp::saveState(sim::CheckpointWriter &w) const
+SnapshotProbeApp::fields(Io &io)
 {
-    w.time(period_);
-    w.u64(ticks_);
-    w.u8(running_ ? 1 : 0);
-    w.time(nextDueAt_);
+    io.expect("period", period_);
+    io.u64(ticks_);
+    io.u8(running_);
+    io.time(nextDueAt_);
 }
 
 void
-SnapshotProbeApp::restoreState(sim::CheckpointReader &r)
+SnapshotProbeApp::checkpoint(sim::CheckpointSaver &io)
 {
-    sim::Time period = r.time();
-    if (period != period_) {
-        throw sim::CheckpointError(
-            "snapshot probe period differs from the blob's");
-    }
-    ticks_ = r.u64();
-    bool wasRunning = r.u8() != 0;
-    nextDueAt_ = r.time();
-    if (wasRunning && !running_) {
-        // Restoring onto a not-yet-started device: adopt the serialized
-        // deadline instead of starting a fresh cycle.
-        running_ = true;
-        arm();
-    }
+    fields(io);
+}
+
+void
+SnapshotProbeApp::checkpoint(sim::CheckpointLoader &io)
+{
+    bool armed = running_;
+    fields(io);
+    // Restoring onto a not-yet-started device: adopt the serialized
+    // deadline instead of starting a fresh cycle.
+    if (running_ && !armed) arm();
 }
 
 } // namespace leaseos::apps

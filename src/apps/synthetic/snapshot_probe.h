@@ -45,12 +45,13 @@ class SnapshotProbeApp : public app::App
     sim::Time nextDueAt() const { return nextDueAt_; }
 
     bool checkpointable() const override { return true; }
-    void saveState(sim::CheckpointWriter &w) const override;
-    void restoreState(sim::CheckpointReader &r) override;
+    void checkpoint(sim::CheckpointSaver &io) override;
+    void checkpoint(sim::CheckpointLoader &io) override;
 
   private:
     void tick();
     void arm();
+    template <class Io> void fields(Io &io);
 
     sim::Time period_;
     std::uint64_t ticks_ = 0;

@@ -136,11 +136,82 @@ Device::start()
     }
 }
 
+namespace {
+
+/** Refuse to restore an app whose pending timers the blob lacks. */
+void
+requireRestorable(const app::App &app, bool alive, bool checkpointable)
+{
+    if (!alive)
+        throw sim::CheckpointError(
+            "blob app '" + app.name() +
+            "' was dead at checkpoint; restore requires live apps");
+    if (!checkpointable)
+        throw sim::CheckpointError(
+            "blob app '" + app.name() +
+            "' is not checkpointable: its pending timers cannot be "
+            "re-armed from a blob (use live handoff instead)");
+    if (!app.checkpointable())
+        throw sim::CheckpointError(
+            "blob app '" + app.name() +
+            "' carries behaviour state this app cannot restore");
+}
+
+} // namespace
+
+template <class Io>
+void
+Device::checkpoint(Io &io)
+{
+    io.beginSection("meta", 1);
+    io.expect("mode", static_cast<std::uint8_t>(config_.mode));
+    std::uint64_t seed = config_.seed; // the rng section overrides it
+    io.u64(seed);
+    io.expect("profile", config_.profile.name);
+    io.expect("dvfs", static_cast<std::uint8_t>(config_.dvfsEnabled));
+    io.expect("profiler period", config_.profilerPeriod);
+    io.expect("apps", static_cast<std::uint64_t>(apps_.size()));
+    io.endSection();
+
+    // "sim" first: restore needs the clock before any component re-arms
+    // a deadline against it.
+    sim_.checkpoint(io);
+    rng_.checkpoint(io);
+    accountant_->checkpoint(io);
+    battery_->checkpoint(io);
+    cpu_->checkpoint(io);
+    screen_->checkpoint(io);
+    gps_->checkpoint(io);
+    radio_->checkpoint(io);
+    sensors_->checkpoint(io);
+    audio_->checkpoint(io);
+    bluetooth_->checkpoint(io);
+    profiler_->checkpoint(io);
+    if (leaseos_) leaseos_->manager().checkpoint(io);
+
+    io.beginSection("apps", 1);
+    for (auto &app : apps_) {
+        io.expect("uid", static_cast<std::uint32_t>(app->uid()));
+        io.expect("name", app->name());
+        bool alive = app->processAlive();
+        bool checkpointable = app->checkpointable();
+        io.u8(alive);
+        io.u8(checkpointable);
+        if constexpr (Io::kLoading)
+            requireRestorable(*app, alive, checkpointable);
+        if (checkpointable) app->checkpoint(io);
+    }
+    io.endSection();
+}
+
 std::vector<std::uint8_t>
 Device::saveCheckpoint() const
 {
     sim::CheckpointWriter w;
-    saveCheckpoint(w);
+    sim::CheckpointSaver io(w);
+    // The field list serves both directions, so it takes the device by
+    // non-const reference; the saver only reads through it.
+    const_cast<Device &>(*this).checkpoint(io);
     return w.finish();
 }
 
@@ -148,116 +219,8 @@ void
 Device::restoreCheckpoint(const std::vector<std::uint8_t> &blob)
 {
     sim::CheckpointReader r(blob);
-    restoreCheckpoint(r);
-}
-
-void
-Device::saveCheckpoint(sim::CheckpointWriter &w) const
-{
-    w.beginSection("meta", 1);
-    w.u8(static_cast<std::uint8_t>(config_.mode));
-    w.u64(config_.seed);
-    w.str(config_.profile.name);
-    w.u8(config_.dvfsEnabled ? 1 : 0);
-    w.time(config_.profilerPeriod);
-    w.u64(apps_.size());
-    w.endSection();
-
-    // "sim" first: restore needs the clock before any component re-arms
-    // a deadline against it.
-    sim_.saveState(w);
-    rng_.saveState(w);
-    accountant_->saveState(w);
-    battery_->saveState(w);
-    cpu_->saveState(w);
-    screen_->saveState(w);
-    gps_->saveState(w);
-    radio_->saveState(w);
-    sensors_->saveState(w);
-    audio_->saveState(w);
-    bluetooth_->saveState(w);
-    profiler_->saveState(w);
-    if (leaseos_) leaseos_->manager().saveState(w);
-
-    w.beginSection("apps", 1);
-    for (const auto &app : apps_) {
-        w.u32(static_cast<std::uint32_t>(app->uid()));
-        w.str(app->name());
-        w.u8(app->processAlive() ? 1 : 0);
-        w.u8(app->checkpointable() ? 1 : 0);
-        if (app->checkpointable()) app->saveState(w);
-    }
-    w.endSection();
-}
-
-void
-Device::restoreCheckpoint(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("meta", r.beginSection("meta"), 1);
-    auto mode = static_cast<MitigationMode>(r.u8());
-    r.u64(); // seed: informational; the rng stream below overrides it
-    std::string profileName = r.str();
-    bool dvfs = r.u8() != 0;
-    sim::Time profilerPeriod = r.time();
-    std::uint64_t appCount = r.u64();
-    r.endSection();
-    if (mode != config_.mode)
-        throw sim::CheckpointError(
-            "blob was taken under a different mitigation mode");
-    if (profileName != config_.profile.name)
-        throw sim::CheckpointError("blob was taken on device profile '" +
-                                   profileName + "', this device is '" +
-                                   config_.profile.name + "'");
-    if (dvfs != config_.dvfsEnabled)
-        throw sim::CheckpointError("blob DVFS setting differs");
-    if (profilerPeriod != config_.profilerPeriod)
-        throw sim::CheckpointError("blob profiler period differs");
-    if (appCount != apps_.size())
-        throw sim::CheckpointError(
-            "blob has " + std::to_string(appCount) + " apps, device has " +
-            std::to_string(apps_.size()));
-
-    sim_.restoreState(r);
-    rng_.restoreState(r);
-    accountant_->restoreState(r);
-    battery_->restoreState(r);
-    cpu_->restoreState(r);
-    screen_->restoreState(r);
-    gps_->restoreState(r);
-    radio_->restoreState(r);
-    sensors_->restoreState(r);
-    audio_->restoreState(r);
-    bluetooth_->restoreState(r);
-    profiler_->restoreState(r);
-    if (leaseos_) leaseos_->manager().restoreState(r);
-
-    sim::requireSectionVersion("apps", r.beginSection("apps"), 1);
-    for (auto &app : apps_) {
-        Uid uid = static_cast<Uid>(r.u32());
-        std::string name = r.str();
-        bool alive = r.u8() != 0;
-        bool checkpointable = r.u8() != 0;
-        if (uid != app->uid() || name != app->name())
-            throw sim::CheckpointError(
-                "app mismatch: blob has uid " + std::to_string(uid) +
-                " '" + name + "', device has uid " +
-                std::to_string(app->uid()) + " '" + app->name() + "'");
-        if (!alive)
-            throw sim::CheckpointError(
-                "blob app '" + name +
-                "' was dead at checkpoint; restore requires live apps");
-        if (!checkpointable)
-            throw sim::CheckpointError(
-                "blob app '" + name +
-                "' is not checkpointable: its pending timers cannot be "
-                "re-armed from a blob (use live handoff instead)");
-        if (!app->checkpointable())
-            throw sim::CheckpointError(
-                "blob app '" + name +
-                "' carries behaviour state this app cannot restore");
-        app->restoreState(r);
-    }
-    r.endSection();
+    sim::CheckpointLoader io(r);
+    checkpoint(io);
 
     // The restored device is running: make a later start() a no-op and
     // arm the checked-build audit the original armed in start().

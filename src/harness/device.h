@@ -207,6 +207,8 @@ class Device
     power::RadioModel &radio() { return *radio_; }
     power::ScreenModel &screenHardware() { return *screen_; }
     power::BluetoothModel &bluetoothHardware() { return *bluetooth_; }
+    power::SensorModel &sensorHardware() { return *sensors_; }
+    power::AudioModel &audioHardware() { return *audio_; }
     os::SystemServer &server() { return *server_; }
     env::NetworkEnvironment &network() { return *network_; }
     env::GpsEnvironment &gpsEnv() { return *gpsEnv_; }
@@ -295,8 +297,9 @@ class Device
     void unbindFromThread();
 
   private:
-    void saveCheckpoint(sim::CheckpointWriter &w) const;
-    void restoreCheckpoint(sim::CheckpointReader &r);
+    /** The blob's field list: "meta", every component, "apps". */
+    template <class Io> void checkpoint(Io &io);
+
     DeviceConfig config_;
     sim::Simulator sim_;
     sim::RandomSource rng_;

@@ -102,6 +102,36 @@ struct Lease {
         history.push_back(std::move(record));
         while (history.size() > depth) history.pop_front();
     }
+
+    /**
+     * Field list of a lease record in the "leases" section (DESIGN.md
+     * §11), after its id (the table's key, which leads the record).
+     * pendingEvent is not captured: the manager re-arms it on restore.
+     */
+    template <class Io>
+    void
+    checkpoint(Io &io)
+    {
+        io.u32(uid);
+        io.u8(rtype);
+        io.u64(token);
+        io.u8(state);
+        io.time(createdAt);
+        io.time(termStart);
+        io.time(termLength);
+        io.i64(termIndex);
+        io.i64(consecutiveNormal);
+        io.i64(consecutiveMisbehaved);
+        io.u64(renewals);
+        io.u64(deferrals);
+        io.time(deferredAt);
+        io.f64(totalDeferralSeconds);
+        // A record is a 97-byte stat plus its behaviour byte.
+        io.seq(history, 97 + 1, [&](auto &record) {
+            record.stat.checkpoint(io);
+            io.u8(record.behavior);
+        });
+    }
 };
 
 } // namespace leaseos::lease

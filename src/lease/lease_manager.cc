@@ -501,78 +501,52 @@ LeaseManagerService::lastBehavior(LeaseId id) const
 }
 
 
+template <class Io>
 void
-LeaseManagerService::saveState(sim::CheckpointWriter &w) const
+LeaseManagerService::checkpoint(Io &io)
 {
-    w.beginSection("leases", 1);
-    table_.saveState(w);
-    w.u64(reputations_.size());
-    for (const auto &[key, rep] : reputations_) {
-        w.u32(static_cast<std::uint32_t>(key.first));
-        w.u8(static_cast<std::uint8_t>(key.second));
-        w.i64(rep.consecutiveMisbehaved);
-        w.time(rep.diedAt);
-    }
-    w.u64(totalDeferrals_);
-    w.u64(totalRenewals_);
-    w.u64(termChecks_);
-    w.f64(totalDeferralSeconds_);
-    w.u64(behaviorCounts_.size());
-    for (const auto &[behavior, count] : behaviorCounts_) {
-        w.u8(static_cast<std::uint8_t>(behavior));
-        w.u64(count);
-    }
-    lifespans_.saveState(w);
-    termCounts_.saveState(w);
-    w.endSection();
-}
-
-void
-LeaseManagerService::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("leases", r.beginSection("leases"), 1);
-    table_.restoreState(r);
-    reputations_.clear();
-    std::uint64_t repCount = r.u64();
-    for (std::uint64_t i = 0; i < repCount; ++i) {
-        Uid uid = static_cast<Uid>(r.u32());
-        ResourceType rtype = static_cast<ResourceType>(r.u8());
-        Reputation rep;
-        rep.consecutiveMisbehaved = static_cast<int>(r.i64());
-        rep.diedAt = r.time();
-        reputations_[{uid, rtype}] = rep;
-    }
-    totalDeferrals_ = r.u64();
-    totalRenewals_ = r.u64();
-    termChecks_ = r.u64();
-    totalDeferralSeconds_ = r.f64();
-    behaviorCounts_.clear();
-    std::uint64_t behaviors = r.u64();
-    for (std::uint64_t i = 0; i < behaviors; ++i) {
-        BehaviorType b = static_cast<BehaviorType>(r.u8());
-        behaviorCounts_[b] = r.u64();
-    }
-    lifespans_.restoreState(r);
-    termCounts_.restoreState(r);
-    r.endSection();
-
-    // Re-arm expiries at the instants the original events sat at. The
-    // deferral deadline recomputes exactly: consecutiveMisbehaved was
-    // already incremented when tau was chosen and cannot change while
-    // the lease sits in DEFERRED.
-    for (Lease *lease : table_.all()) {
-        LeaseId id = lease->id;
-        if (lease->state == LeaseState::Active) {
-            lease->pendingEvent =
-                sim_.scheduleAt(lease->termStart + lease->termLength,
-                                [this, id] { onTermEnd(id); });
-        } else if (lease->state == LeaseState::Deferred) {
-            sim::Time tau =
-                policy_.deferralFor(lease->consecutiveMisbehaved);
-            lease->pendingEvent = sim_.scheduleAt(
-                lease->deferredAt + tau, [this, id] { onDeferralEnd(id); });
+    io.beginSection("leases", 1);
+    table_.checkpoint(io);
+    io.map(reputations_, 4 + 1 + 8 + 8, [&](auto &key, auto &rep) {
+        io.u32(key.first);
+        io.u8(key.second);
+        io.i64(rep.consecutiveMisbehaved);
+        io.time(rep.diedAt);
+    });
+    io.u64(totalDeferrals_);
+    io.u64(totalRenewals_);
+    io.u64(termChecks_);
+    io.f64(totalDeferralSeconds_);
+    io.map(behaviorCounts_, 1 + 8, [&](auto &behavior, auto &count) {
+        io.u8(behavior);
+        io.u64(count);
+    });
+    lifespans_.checkpoint(io);
+    termCounts_.checkpoint(io);
+    io.endSection();
+    if constexpr (Io::kLoading) {
+        // Re-arm expiries at the instants the original events sat at.
+        // The deferral deadline recomputes exactly: consecutiveMisbehaved
+        // was already incremented when tau was chosen and cannot change
+        // while the lease sits in DEFERRED.
+        for (Lease *lease : table_.all()) {
+            LeaseId id = lease->id;
+            if (lease->state == LeaseState::Active) {
+                lease->pendingEvent =
+                    sim_.scheduleAt(lease->termStart + lease->termLength,
+                                    [this, id] { onTermEnd(id); });
+            } else if (lease->state == LeaseState::Deferred) {
+                sim::Time tau =
+                    policy_.deferralFor(lease->consecutiveMisbehaved);
+                lease->pendingEvent =
+                    sim_.scheduleAt(lease->deferredAt + tau,
+                                    [this, id] { onDeferralEnd(id); });
+            }
         }
     }
 }
+
+template void LeaseManagerService::checkpoint(sim::CheckpointSaver &);
+template void LeaseManagerService::checkpoint(sim::CheckpointLoader &);
 
 } // namespace leaseos::lease

@@ -128,20 +128,16 @@ class LeaseManagerService
     }
 
     /**
-     * Serialize the lease table, reputations, and counters as a
-     * "leases" section (DESIGN.md §11).
+     * The "leases" section's field list (DESIGN.md §11): the lease
+     * table, reputations, and counters. Loading requires a freshly built
+     * service (same policy, same proxies registered); afterwards every
+     * ACTIVE lease's term-expiry and every DEFERRED lease's deferral-end
+     * event is re-armed from its recomputable deadline: termStart +
+     * termLength, and deferredAt +
+     * policy().deferralFor(consecutiveMisbehaved) respectively — exactly
+     * the instants the original events sat at.
      */
-    void saveState(sim::CheckpointWriter &w) const;
-
-    /**
-     * Restore onto a freshly built service (same policy, same proxies
-     * registered). Every ACTIVE lease's term-expiry and every DEFERRED
-     * lease's deferral-end event is re-armed from its recomputable
-     * deadline: termStart + termLength, and deferredAt +
-     * policy().deferralFor(consecutiveMisbehaved) respectively —
-     * exactly the instants the original events sat at.
-     */
-    void restoreState(sim::CheckpointReader &r);
+    template <class Io> void checkpoint(Io &io);
 
   private:
     LeaseProxy *proxyFor(ResourceType rtype) const;

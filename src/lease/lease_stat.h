@@ -51,6 +51,26 @@ struct LeaseStat {
 
     bool heldAtTermEnd = false;
 
+    /** Field list, embedded in its lease's record (DESIGN.md §11). */
+    template <class Io>
+    void
+    checkpoint(Io &io)
+    {
+        io.time(termStart);
+        io.time(termEnd);
+        io.f64(requestSeconds);
+        io.f64(failedRequestSeconds);
+        io.f64(holdingSeconds);
+        io.f64(usageSeconds);
+        io.f64(utilityScore);
+        io.u64(exceptions);
+        io.u64(uiUpdates);
+        io.u64(interactions);
+        io.f64(distanceMeters);
+        io.u64(acquires);
+        io.u8(heldAtTermEnd);
+    }
+
     /** Term wall length in seconds. */
     double
     termSeconds() const

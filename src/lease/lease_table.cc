@@ -76,122 +76,30 @@ LeaseTable::countInState(LeaseState state) const
 }
 
 
-namespace {
-
+template <class Io>
 void
-writeStat(sim::CheckpointWriter &w, const LeaseStat &s)
+LeaseTable::checkpoint(Io &io)
 {
-    w.time(s.termStart);
-    w.time(s.termEnd);
-    w.f64(s.requestSeconds);
-    w.f64(s.failedRequestSeconds);
-    w.f64(s.holdingSeconds);
-    w.f64(s.usageSeconds);
-    w.f64(s.utilityScore);
-    w.u64(s.exceptions);
-    w.u64(s.uiUpdates);
-    w.u64(s.interactions);
-    w.f64(s.distanceMeters);
-    w.u64(s.acquires);
-    w.u8(s.heldAtTermEnd ? 1 : 0);
-}
-
-LeaseStat
-readStat(sim::CheckpointReader &r)
-{
-    LeaseStat s;
-    s.termStart = r.time();
-    s.termEnd = r.time();
-    s.requestSeconds = r.f64();
-    s.failedRequestSeconds = r.f64();
-    s.holdingSeconds = r.f64();
-    s.usageSeconds = r.f64();
-    s.utilityScore = r.f64();
-    s.exceptions = r.u64();
-    s.uiUpdates = r.u64();
-    s.interactions = r.u64();
-    s.distanceMeters = r.f64();
-    s.acquires = r.u64();
-    s.heldAtTermEnd = r.u8() != 0;
-    return s;
-}
-
-} // namespace
-
-void
-LeaseTable::saveState(sim::CheckpointWriter &w) const
-{
-    w.u64(nextId_);
-    w.u64(leases_.size());
-    for (const auto &[id, lease] : leases_) {
-        w.u64(lease->id);
-        w.u32(static_cast<std::uint32_t>(lease->uid));
-        w.u8(static_cast<std::uint8_t>(lease->rtype));
-        w.u64(lease->token);
-        w.u8(static_cast<std::uint8_t>(lease->state));
-        w.time(lease->createdAt);
-        w.time(lease->termStart);
-        w.time(lease->termLength);
-        w.i64(lease->termIndex);
-        w.i64(lease->consecutiveNormal);
-        w.i64(lease->consecutiveMisbehaved);
-        w.u64(lease->renewals);
-        w.u64(lease->deferrals);
-        w.time(lease->deferredAt);
-        w.f64(lease->totalDeferralSeconds);
-        w.u64(lease->history.size());
-        for (const TermRecord &rec : lease->history) {
-            writeStat(w, rec.stat);
-            w.u8(static_cast<std::uint8_t>(rec.behavior));
+    io.u64(nextId_);
+    // Smallest record: its 8-byte id, then 102 bytes of fields ending
+    // in an empty history's count.
+    io.map(leases_, 8 + 102, [&](auto &id, auto &lease) {
+        io.u64(id);
+        lease->checkpoint(io);
+    });
+    io.map(byToken_, 8 + 8, [&](auto &token, auto &id) {
+        io.u64(token);
+        io.u64(id);
+    });
+    if constexpr (Io::kLoading) {
+        for (auto &[id, lease] : leases_) {
+            lease->id = id;
+            lease->pendingEvent = sim::kInvalidEventId;
         }
     }
-    w.u64(byToken_.size());
-    for (const auto &[token, id] : byToken_) {
-        w.u64(token);
-        w.u64(id);
-    }
 }
 
-void
-LeaseTable::restoreState(sim::CheckpointReader &r)
-{
-    leases_.clear();
-    byToken_.clear();
-    nextId_ = r.u64();
-    std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        auto lease = std::make_unique<Lease>();
-        lease->id = r.u64();
-        lease->uid = static_cast<Uid>(r.u32());
-        lease->rtype = static_cast<ResourceType>(r.u8());
-        lease->token = r.u64();
-        lease->state = static_cast<LeaseState>(r.u8());
-        lease->createdAt = r.time();
-        lease->termStart = r.time();
-        lease->termLength = r.time();
-        lease->termIndex = static_cast<int>(r.i64());
-        lease->consecutiveNormal = static_cast<int>(r.i64());
-        lease->consecutiveMisbehaved = static_cast<int>(r.i64());
-        lease->renewals = r.u64();
-        lease->deferrals = r.u64();
-        lease->deferredAt = r.time();
-        lease->totalDeferralSeconds = r.f64();
-        std::uint64_t records = r.u64();
-        for (std::uint64_t k = 0; k < records; ++k) {
-            TermRecord rec;
-            rec.stat = readStat(r);
-            rec.behavior = static_cast<BehaviorType>(r.u8());
-            lease->history.push_back(rec);
-        }
-        lease->pendingEvent = sim::kInvalidEventId;
-        LeaseId id = lease->id;
-        leases_.emplace(id, std::move(lease));
-    }
-    std::uint64_t tokens = r.u64();
-    for (std::uint64_t i = 0; i < tokens; ++i) {
-        os::TokenId token = r.u64();
-        byToken_[token] = r.u64();
-    }
-}
+template void LeaseTable::checkpoint(sim::CheckpointSaver &);
+template void LeaseTable::checkpoint(sim::CheckpointLoader &);
 
 } // namespace leaseos::lease

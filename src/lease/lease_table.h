@@ -45,14 +45,20 @@ class LeaseTable
 
     std::uint64_t totalCreated() const { return nextId_ - 1; }
 
+    /** Lease backing each kernel object, by token. */
+    const std::map<os::TokenId, LeaseId> &
+    tokenIndex() const
+    {
+        return byToken_;
+    }
+
     /**
-     * Raw-field serialization, embedded in the manager's "leases"
-     * section (DESIGN.md §11). Each lease's pendingEvent handle is NOT
-     * captured — the manager re-arms term/deferral expiries from the
-     * recomputable deadlines on restore.
+     * Field list, embedded in the manager's "leases" section (DESIGN.md
+     * §11). Each lease's pendingEvent handle is NOT captured — the
+     * manager re-arms term/deferral expiries from the recomputable
+     * deadlines on restore.
      */
-    void saveState(sim::CheckpointWriter &w) const;
-    void restoreState(sim::CheckpointReader &r);
+    template <class Io> void checkpoint(Io &io);
 
   private:
     std::map<LeaseId, std::unique_ptr<Lease>> leases_;

@@ -1,27 +1,19 @@
 #include "power/audio_model.h"
 
-#include "power/checkpoint_io.h"
+#include "sim/checkpoint.h"
 
 namespace leaseos::power {
 
+template <class Io>
 void
-AudioModel::saveState(sim::CheckpointWriter &w) const
+AudioModel::checkpoint(Io &io)
 {
-    w.beginSection("audio", 1);
-    w.u64(players_.size());
-    for (Uid u : players_) w.u32(static_cast<std::uint32_t>(u));
-    w.endSection();
+    io.beginSection("audio", 1);
+    io.seq(players_, 4, [&](auto &uid) { io.u32(uid); });
+    io.endSection();
 }
 
-void
-AudioModel::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("audio", r.beginSection("audio"), 1);
-    players_.clear();
-    std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i)
-        players_.insert(static_cast<Uid>(r.u32()));
-    r.endSection();
-}
+template void AudioModel::checkpoint(sim::CheckpointSaver &);
+template void AudioModel::checkpoint(sim::CheckpointLoader &);
 
 } // namespace leaseos::power

@@ -41,9 +41,8 @@ class AudioModel : public PowerComponent
     bool playing() const { return !players_.empty(); }
     bool playing(Uid uid) const { return players_.count(uid) != 0; }
 
-    /** Serialize open players as an "audio" section (DESIGN.md §11). */
-    void saveState(sim::CheckpointWriter &w) const;
-    void restoreState(sim::CheckpointReader &r);
+    /** The "audio" section's field list (DESIGN.md §11). */
+    template <class Io> void checkpoint(Io &io);
 
   private:
     void

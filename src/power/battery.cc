@@ -4,20 +4,16 @@
 
 namespace leaseos::power {
 
+template <class Io>
 void
-Battery::saveState(sim::CheckpointWriter &w) const
+Battery::checkpoint(Io &io)
 {
-    w.beginSection("battery", 1);
-    w.f64(baseMj_);
-    w.endSection();
+    io.beginSection("battery", 1);
+    io.f64(baseMj_);
+    io.endSection();
 }
 
-void
-Battery::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("battery", r.beginSection("battery"), 1);
-    baseMj_ = r.f64();
-    r.endSection();
-}
+template void Battery::checkpoint(sim::CheckpointSaver &);
+template void Battery::checkpoint(sim::CheckpointLoader &);
 
 } // namespace leaseos::power

@@ -66,9 +66,8 @@ class Battery
         baseMj_ = accountant_.totalEnergyMj();
     }
 
-    /** Serialize the recharge baseline as a "battery" section. */
-    void saveState(sim::CheckpointWriter &w) const;
-    void restoreState(sim::CheckpointReader &r);
+    /** The "battery" section's field list: the recharge baseline. */
+    template <class Io> void checkpoint(Io &io);
 
   private:
     EnergyAccountant &accountant_;

@@ -1,27 +1,24 @@
 #include "power/bluetooth_model.h"
 
-#include "power/checkpoint_io.h"
+#include "sim/checkpoint.h"
 
 namespace leaseos::power {
 
+template <class Io>
 void
-BluetoothModel::saveState(sim::CheckpointWriter &w) const
+BluetoothModel::checkpoint(Io &io)
 {
-    w.beginSection("bt", 1);
-    ckpt::writeUids(w, owners_);
-    w.time(lastAdvance_);
-    ckpt::writeUidDoubleMap(w, scanSeconds_);
-    w.endSection();
+    io.beginSection("bt", 1);
+    io.seq(owners_, 4, [&](auto &uid) { io.u32(uid); });
+    io.time(lastAdvance_);
+    io.map(scanSeconds_, 4 + 8, [&](auto &uid, auto &seconds) {
+        io.u32(uid);
+        io.f64(seconds);
+    });
+    io.endSection();
 }
 
-void
-BluetoothModel::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("bt", r.beginSection("bt"), 1);
-    owners_ = ckpt::readUids(r);
-    lastAdvance_ = r.time();
-    scanSeconds_ = ckpt::readUidDoubleMap(r);
-    r.endSection();
-}
+template void BluetoothModel::checkpoint(sim::CheckpointSaver &);
+template void BluetoothModel::checkpoint(sim::CheckpointLoader &);
 
 } // namespace leaseos::power

@@ -92,9 +92,8 @@ class BluetoothModel : public PowerComponent
     std::map<Uid, double> scanSeconds_;
 
   public:
-    /** Serialize scan state as a "bt" section (DESIGN.md §11). */
-    void saveState(sim::CheckpointWriter &w) const;
-    void restoreState(sim::CheckpointReader &r);
+    /** The "bt" section's field list (DESIGN.md §11). */
+    template <class Io> void checkpoint(Io &io);
 };
 
 } // namespace leaseos::power

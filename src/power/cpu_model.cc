@@ -1,6 +1,6 @@
 #include "power/cpu_model.h"
 
-#include "power/checkpoint_io.h"
+#include "sim/checkpoint.h"
 
 #include <algorithm>
 #include <utility>
@@ -306,88 +306,50 @@ CpuModel::asleepSeconds()
 }
 
 
+template <class Io>
 void
-CpuModel::saveState(sim::CheckpointWriter &w) const
+CpuModel::checkpoint(Io &io)
 {
-    w.beginSection("cpu", 1);
-    ckpt::writeUids(w, wakelockOwners_);
-    ckpt::writeUids(w, audioOwners_);
-    w.u8(screenOn_ ? 1 : 0);
-    w.i64(wakeWindows_);
-    w.u8(awake_ ? 1 : 0);
-    w.u64(tasks_.size());
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
-        w.u64(tasks_[i].first);
-        w.u32(static_cast<std::uint32_t>(tasks_[i].second.uid));
-        w.f64(tasks_[i].second.load);
+    auto uid = [&](auto &u) { io.u32(u); };
+    auto uidSeconds = [&](auto &entry) {
+        io.u32(entry.first);
+        io.f64(entry.second);
+    };
+    io.beginSection("cpu", 1);
+    io.seq(wakelockOwners_, 4, uid);
+    io.seq(audioOwners_, 4, uid);
+    io.u8(screenOn_);
+    io.i64(wakeWindows_);
+    io.u8(awake_);
+    io.seq(tasks_, 8 + 4 + 8, [&](auto &task) {
+        io.u64(task.first);
+        io.u32(task.second.uid);
+        io.f64(task.second.load);
+    });
+    io.u64(nextToken_);
+    // Parked wake waiters are closures: only their count travels.
+    std::uint64_t waiters = wakeWaiters_.size();
+    io.u64(waiters);
+    io.u8(dvfsEnabled_);
+    io.u64(dvfsLevel_);
+    io.block(levelSeconds_);
+    io.time(lastAdvance_);
+    io.seq(cpuSeconds_, 4 + 8, uidSeconds);
+    io.seq(normalizedCpuSeconds_, 4 + 8, uidSeconds);
+    io.f64(awakeSeconds_);
+    io.f64(asleepSeconds_);
+    io.endSection();
+    if constexpr (Io::kLoading) {
+        if (!tasks_.empty() || waiters != 0)
+            throw sim::CheckpointError(
+                "cpu checkpoint carries in-flight work (" +
+                std::to_string(tasks_.size()) + " tasks, " +
+                std::to_string(waiters) +
+                " wake waiters); restore requires a quiescent boundary");
     }
-    w.u64(nextToken_);
-    w.u64(wakeWaiters_.size()); // diagnostics; closures, not capturable
-    w.u8(dvfsEnabled_ ? 1 : 0);
-    w.u64(dvfsLevel_);
-    w.u64(levelSeconds_.size());
-    for (double s : levelSeconds_) w.f64(s);
-    w.time(lastAdvance_);
-    auto writeUidDoubles =
-        [&w](const common::InlineVec<std::pair<Uid, double>, 8> &v) {
-            w.u64(v.size());
-            for (std::size_t i = 0; i < v.size(); ++i) {
-                w.u32(static_cast<std::uint32_t>(v[i].first));
-                w.f64(v[i].second);
-            }
-        };
-    writeUidDoubles(cpuSeconds_);
-    writeUidDoubles(normalizedCpuSeconds_);
-    w.f64(awakeSeconds_);
-    w.f64(asleepSeconds_);
-    w.endSection();
 }
 
-void
-CpuModel::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("cpu", r.beginSection("cpu"), 1);
-    wakelockOwners_ = ckpt::readUids(r);
-    audioOwners_ = ckpt::readUids(r);
-    screenOn_ = r.u8() != 0;
-    wakeWindows_ = static_cast<int>(r.i64());
-    awake_ = r.u8() != 0;
-    std::uint64_t taskCount = r.u64();
-    tasks_.clear();
-    for (std::uint64_t i = 0; i < taskCount; ++i) {
-        WorkToken token = r.u64();
-        Uid uid = static_cast<Uid>(r.u32());
-        double load = r.f64();
-        tasks_.push_back({token, Task{uid, load}});
-    }
-    nextToken_ = r.u64();
-    std::uint64_t waiterCount = r.u64();
-    if (taskCount != 0 || waiterCount != 0)
-        throw sim::CheckpointError(
-            "cpu checkpoint carries in-flight work (" +
-            std::to_string(taskCount) + " tasks, " +
-            std::to_string(waiterCount) +
-            " wake waiters); restore requires a quiescent boundary");
-    dvfsEnabled_ = r.u8() != 0;
-    dvfsLevel_ = r.u64();
-    std::uint64_t levels = r.u64();
-    levelSeconds_.assign(levels, 0.0);
-    for (std::uint64_t i = 0; i < levels; ++i) levelSeconds_[i] = r.f64();
-    lastAdvance_ = r.time();
-    auto readUidDoubles =
-        [&r](common::InlineVec<std::pair<Uid, double>, 8> &v) {
-            v.clear();
-            std::uint64_t n = r.u64();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                Uid uid = static_cast<Uid>(r.u32());
-                v.push_back({uid, r.f64()});
-            }
-        };
-    readUidDoubles(cpuSeconds_);
-    readUidDoubles(normalizedCpuSeconds_);
-    awakeSeconds_ = r.f64();
-    asleepSeconds_ = r.f64();
-    r.endSection();
-}
+template void CpuModel::checkpoint(sim::CheckpointSaver &);
+template void CpuModel::checkpoint(sim::CheckpointLoader &);
 
 } // namespace leaseos::power

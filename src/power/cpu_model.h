@@ -132,20 +132,16 @@ class CpuModel : public PowerComponent
     double asleepSeconds();
 
     /**
-     * Serialize wake sources, tasks, DVFS, and the per-uid integrals as
-     * a "cpu" section (DESIGN.md §11). Always succeeds; parked wake
-     * waiters are counted but not captured (they are closures).
+     * The "cpu" section's field list (DESIGN.md §11): wake sources,
+     * tasks, DVFS, and the per-uid integrals. Saving always succeeds;
+     * parked wake waiters are counted but not captured (they are
+     * closures). Loading throws CheckpointError when the blob carries
+     * in-flight work (running tasks whose end events are closures) or
+     * parked wake waiters — restore-from-blob requires a quiescent
+     * boundary; sliced execution never needs one because ParallelRunner
+     * hands live devices between workers instead.
      */
-    void saveState(sim::CheckpointWriter &w) const;
-
-    /**
-     * Restore state saved by saveState(). Throws CheckpointError when
-     * the blob carries in-flight work (running tasks whose end events
-     * are closures) or parked wake waiters — restore-from-blob requires
-     * a quiescent boundary; sliced execution never needs one because
-     * ParallelRunner hands live devices between workers instead.
-     */
-    void restoreState(sim::CheckpointReader &r);
+    template <class Io> void checkpoint(Io &io);
 
   private:
     struct Task {

@@ -180,76 +180,36 @@ EnergyAccountant::knownUids() const
     return uids;
 }
 
+template <class Io>
 void
-EnergyAccountant::saveState(sim::CheckpointWriter &w) const
+EnergyAccountant::checkpoint(Io &io)
 {
-    w.beginSection("energy", 1);
-    w.time(lastSync_);
-    w.f64(totalMj_);
-    w.u64(uids_.size());
-    for (std::size_t i = 0; i < uids_.size(); ++i) {
-        w.u32(static_cast<std::uint32_t>(uids_[i]));
-        w.f64(uidMj_[i]);
+    io.beginSection("energy", 1);
+    io.time(lastSync_);
+    io.f64(totalMj_);
+    std::uint64_t slots = uids_.size();
+    io.count(slots, 4 + 8);
+    uids_.resize(slots);
+    uidMj_.resize(slots);
+    for (std::size_t i = 0; i < slots; ++i) {
+        io.u32(uids_[i]);
+        io.f64(uidMj_[i]);
     }
-    w.u64(channels_.size());
-    for (const Channel &c : channels_) {
-        w.str(c.name);
-        w.f64(c.energyMj);
-        w.u64(c.uidMj.size());
-        for (double mj : c.uidMj) w.f64(mj);
-        w.u64(c.shares.size());
-        for (std::size_t i = 0; i < c.shares.size(); ++i) {
-            w.u32(static_cast<std::uint32_t>(c.shares[i].uid));
-            w.u32(c.shares[i].slot);
-            w.f64(c.shares[i].mw);
-        }
+    io.expect("channels", static_cast<std::uint64_t>(channels_.size()));
+    for (Channel &c : channels_) {
+        io.expect("channel", c.name);
+        io.f64(c.energyMj);
+        io.block(c.uidMj);
+        io.seq(c.shares, 4 + 4 + 8, [&](auto &share) {
+            io.u32(share.uid);
+            io.u32(share.slot);
+            io.f64(share.mw);
+        });
     }
-    w.endSection();
+    io.endSection();
 }
 
-void
-EnergyAccountant::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("energy", r.beginSection("energy"), 1);
-    lastSync_ = r.time();
-    totalMj_ = r.f64();
-    // Counts are checked against the bytes left before sizing anything.
-    std::uint64_t uidCount = r.count(4 + 8);
-    uids_.clear();
-    uidMj_.clear();
-    uids_.reserve(uidCount);
-    uidMj_.reserve(uidCount);
-    for (std::uint64_t i = 0; i < uidCount; ++i) {
-        uids_.push_back(static_cast<Uid>(r.u32()));
-        uidMj_.push_back(r.f64());
-    }
-    std::uint64_t channelCount = r.u64();
-    if (channelCount != channels_.size())
-        throw sim::CheckpointError(
-            "energy section has " + std::to_string(channelCount) +
-            " channels; this device has " +
-            std::to_string(channels_.size()));
-    for (Channel &c : channels_) {
-        std::string name = r.str();
-        if (name != c.name)
-            throw sim::CheckpointError("energy channel mismatch: blob '" +
-                                       name + "' vs device '" + c.name +
-                                       "'");
-        c.energyMj = r.f64();
-        std::uint64_t slots = r.count(8);
-        c.uidMj.assign(slots, 0.0);
-        for (std::uint64_t i = 0; i < slots; ++i) c.uidMj[i] = r.f64();
-        c.shares.clear();
-        std::uint64_t shareCount = r.count(4 + 4 + 8);
-        for (std::uint64_t i = 0; i < shareCount; ++i) {
-            Share s;
-            s.uid = static_cast<Uid>(r.u32());
-            s.slot = r.u32();
-            s.mw = r.f64();
-            c.shares.push_back(s);
-        }
-    }
-    r.endSection();
-}
+template void EnergyAccountant::checkpoint(sim::CheckpointSaver &);
+template void EnergyAccountant::checkpoint(sim::CheckpointLoader &);
 
 } // namespace leaseos::power

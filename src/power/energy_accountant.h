@@ -135,21 +135,16 @@ class EnergyAccountant
     std::vector<Uid> knownUids() const;
 
     /**
-     * Serialize the raw integrals, uid-slot table, and current shares as
-     * an "energy" section (DESIGN.md §11). Deliberately does NOT sync()
-     * first: splitting an integration interval changes floating-point
-     * sums, so a checkpoint must capture the integrals exactly as the
-     * running device holds them.
+     * The "energy" section's field list (DESIGN.md §11): the raw
+     * integrals, uid-slot table, and current shares. Saving deliberately
+     * does NOT sync() first: splitting an integration interval changes
+     * floating-point sums, so a checkpoint must capture the integrals
+     * exactly as the running device holds them. Loading requires an
+     * accountant whose channels were created in the same order with the
+     * same names (i.e. an identically configured device); it throws
+     * CheckpointError on any mismatch.
      */
-    void saveState(sim::CheckpointWriter &w) const;
-
-    /**
-     * Restore integrals saved by saveState() onto an accountant whose
-     * channels were created in the same order with the same names
-     * (i.e. an identically configured device); throws CheckpointError
-     * on any mismatch.
-     */
-    void restoreState(sim::CheckpointReader &r);
+    template <class Io> void checkpoint(Io &io);
 
   private:
     /** One attribution entry; the uid's dense slot is cached at set time. */

@@ -1,6 +1,6 @@
 #include "power/gps_model.h"
 
-#include "power/checkpoint_io.h"
+#include "sim/checkpoint.h"
 
 #include <utility>
 
@@ -133,41 +133,36 @@ GpsModel::trackSeconds(Uid uid)
 }
 
 
+template <class Io>
 void
-GpsModel::saveState(sim::CheckpointWriter &w) const
+GpsModel::checkpoint(Io &io)
 {
-    w.beginSection("gps", 1);
-    w.u8(static_cast<std::uint8_t>(state_));
-    w.u8(signalGood_ ? 1 : 0);
+    auto uidSeconds = [&](auto &uid, auto &seconds) {
+        io.u32(uid);
+        io.f64(seconds);
+    };
+    io.beginSection("gps", 1);
+    io.u8(state_);
+    io.u8(signalGood_);
     bool fixPending =
         fixEvent_ != sim::kInvalidEventId && sim_.pending(fixEvent_);
-    w.u8(fixPending ? 1 : 0);
-    ckpt::writeUids(w, owners_);
-    w.time(fixAcquireDelay_);
-    w.time(lastAdvance_);
-    ckpt::writeUidDoubleMap(w, searchSeconds_);
-    ckpt::writeUidDoubleMap(w, trackSeconds_);
-    w.endSection();
+    io.u8(fixPending);
+    io.seq(owners_, 4, [&](auto &uid) { io.u32(uid); });
+    io.time(fixAcquireDelay_);
+    io.time(lastAdvance_);
+    io.map(searchSeconds_, 4 + 8, uidSeconds);
+    io.map(trackSeconds_, 4 + 8, uidSeconds);
+    io.endSection();
+    if constexpr (Io::kLoading) {
+        if (fixPending)
+            throw sim::CheckpointError(
+                "gps checkpoint taken mid-fix-acquisition; restore "
+                "requires a quiescent boundary");
+        fixEvent_ = sim::kInvalidEventId;
+    }
 }
 
-void
-GpsModel::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("gps", r.beginSection("gps"), 1);
-    state_ = static_cast<State>(r.u8());
-    signalGood_ = r.u8() != 0;
-    bool fixPending = r.u8() != 0;
-    if (fixPending)
-        throw sim::CheckpointError(
-            "gps checkpoint taken mid-fix-acquisition; restore requires "
-            "a quiescent boundary");
-    owners_ = ckpt::readUids(r);
-    fixAcquireDelay_ = r.time();
-    lastAdvance_ = r.time();
-    searchSeconds_ = ckpt::readUidDoubleMap(r);
-    trackSeconds_ = ckpt::readUidDoubleMap(r);
-    fixEvent_ = sim::kInvalidEventId;
-    r.endSection();
-}
+template void GpsModel::checkpoint(sim::CheckpointSaver &);
+template void GpsModel::checkpoint(sim::CheckpointLoader &);
 
 } // namespace leaseos::power

@@ -53,16 +53,14 @@ class GpsModel : public PowerComponent
     /** Time needed from search start to fix under good signal. */
     sim::Time fixAcquireDelay() const { return fixAcquireDelay_; }
 
-    /** Serialize receiver state as a "gps" section (DESIGN.md §11). */
-    void saveState(sim::CheckpointWriter &w) const;
-
     /**
-     * Restore state saved by saveState(). Throws CheckpointError when
-     * the blob was taken mid-fix-acquisition (the pending fix event is a
-     * closure and cannot be re-armed) — checkpoint at a boundary where
-     * the receiver is Off, Tracking, or searching with bad signal.
+     * The "gps" section's field list (DESIGN.md §11). Loading throws
+     * CheckpointError when the blob was taken mid-fix-acquisition (the
+     * pending fix event is a closure and cannot be re-armed) — checkpoint
+     * at a boundary where the receiver is Off, Tracking, or searching
+     * with bad signal.
      */
-    void restoreState(sim::CheckpointReader &r);
+    template <class Io> void checkpoint(Io &io);
 
   private:
     void advance();

@@ -16,8 +16,8 @@ PowerProfiler::PowerProfiler(sim::Simulator &sim,
 void
 PowerProfiler::watchUid(Uid uid)
 {
-    perUid_.emplace(uid,
-                    sim::TimeSeries("uid" + std::to_string(uid) + "_mw"));
+    perUid_.emplace(
+        uid, Watched{sim::TimeSeries("uid" + std::to_string(uid) + "_mw")});
 }
 
 void
@@ -27,8 +27,8 @@ PowerProfiler::start()
     running_ = true;
     accountant_.sync();
     lastTotalMj_ = accountant_.totalEnergyMj();
-    for (auto &[uid, series] : perUid_)
-        lastUidMj_[uid] = accountant_.uidEnergyMj(uid);
+    for (auto &[uid, watched] : perUid_)
+        watched.lastMj = accountant_.uidEnergyMj(uid);
     tick_ = sim_.schedulePeriodicScoped(period_, [this] { sample(); });
 }
 
@@ -41,10 +41,10 @@ PowerProfiler::sample()
     double total = accountant_.totalEnergyMj();
     total_.record(sim_.now(), (total - lastTotalMj_) / dt);
     lastTotalMj_ = total;
-    for (auto &[uid, series] : perUid_) {
+    for (auto &[uid, watched] : perUid_) {
         double mj = accountant_.uidEnergyMj(uid);
-        series.record(sim_.now(), (mj - lastUidMj_[uid]) / dt);
-        lastUidMj_[uid] = mj;
+        watched.series.record(sim_.now(), (mj - watched.lastMj) / dt);
+        watched.lastMj = mj;
     }
 }
 
@@ -54,7 +54,7 @@ PowerProfiler::uidSeries(Uid uid) const
     auto it = perUid_.find(uid);
     if (it == perUid_.end())
         throw std::out_of_range("uid not watched: " + std::to_string(uid));
-    return it->second;
+    return it->second.series;
 }
 
 double
@@ -69,56 +69,31 @@ PowerProfiler::averageTotalPowerMw() const
     return total_.mean();
 }
 
+template <class Io>
 void
-PowerProfiler::saveState(sim::CheckpointWriter &w) const
+PowerProfiler::checkpoint(Io &io)
 {
-    w.beginSection("profiler", 1);
-    w.u8(running_ ? 1 : 0);
-    w.time(period_);
-    w.f64(lastTotalMj_);
-    total_.saveState(w);
-    w.u64(perUid_.size());
-    for (const auto &[uid, series] : perUid_) {
-        w.u32(static_cast<std::uint32_t>(uid));
-        auto it = lastUidMj_.find(uid);
-        w.f64(it == lastUidMj_.end() ? 0.0 : it->second);
-        series.saveState(w);
+    io.beginSection("profiler", 1);
+    io.u8(running_);
+    io.expect("period", period_);
+    io.f64(lastTotalMj_);
+    total_.checkpoint(io);
+    io.expect("uids", static_cast<std::uint64_t>(perUid_.size()));
+    for (auto &[uid, watched] : perUid_) {
+        io.expect("uid", static_cast<std::uint32_t>(uid));
+        io.f64(watched.lastMj);
+        watched.series.checkpoint(io);
     }
-    w.endSection();
+    io.endSection();
+    if constexpr (Io::kLoading) {
+        tick_.cancel();
+        if (running_)
+            tick_ =
+                sim_.schedulePeriodicScoped(period_, [this] { sample(); });
+    }
 }
 
-void
-PowerProfiler::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("profiler", r.beginSection("profiler"), 1);
-    bool wasRunning = r.u8() != 0;
-    sim::Time period = r.time();
-    if (period != period_)
-        throw sim::CheckpointError(
-            "profiler period mismatch: blob " + period.toString() +
-            " vs device " + period_.toString());
-    lastTotalMj_ = r.f64();
-    total_.restoreState(r);
-    std::uint64_t uidCount = r.u64();
-    if (uidCount != perUid_.size())
-        throw sim::CheckpointError(
-            "profiler watches " + std::to_string(perUid_.size()) +
-            " uids; blob has " + std::to_string(uidCount));
-    lastUidMj_.clear();
-    for (auto &[uid, series] : perUid_) {
-        Uid saved = static_cast<Uid>(r.u32());
-        if (saved != uid)
-            throw sim::CheckpointError(
-                "profiler uid mismatch: blob " + std::to_string(saved) +
-                " vs device " + std::to_string(uid));
-        lastUidMj_[uid] = r.f64();
-        series.restoreState(r);
-    }
-    r.endSection();
-    tick_.cancel();
-    running_ = wasRunning;
-    if (running_)
-        tick_ = sim_.schedulePeriodicScoped(period_, [this] { sample(); });
-}
+template void PowerProfiler::checkpoint(sim::CheckpointSaver &);
+template void PowerProfiler::checkpoint(sim::CheckpointLoader &);
 
 } // namespace leaseos::power

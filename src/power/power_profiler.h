@@ -60,19 +60,15 @@ class PowerProfiler
     sim::Time period() const { return period_; }
 
     /**
-     * Serialize the sampled series and interval baselines as a
-     * "profiler" section (DESIGN.md §11). Checkpoints must be taken at a
+     * The "profiler" section's field list (DESIGN.md §11): the sampled
+     * series and interval baselines. Checkpoints must be taken at a
      * multiple of the sampling period so the due tick has already fired.
+     * Loading requires a profiler with the same period watching the same
+     * uids; when the saved profiler was running, the sampling loop is
+     * re-armed one period from the (restored) current time — exactly
+     * where the original's next tick sat.
      */
-    void saveState(sim::CheckpointWriter &w) const;
-
-    /**
-     * Restore onto a profiler watching the same uids; when the saved
-     * profiler was running, the sampling loop is re-armed one period
-     * from the (restored) current time — exactly where the original's
-     * next tick sat.
-     */
-    void restoreState(sim::CheckpointReader &r);
+    template <class Io> void checkpoint(Io &io);
 
   private:
     void sample();
@@ -84,12 +80,16 @@ class PowerProfiler
     /** Owns the sampling loop; cancelled by stop() / destruction. */
     sim::PeriodicHandle tick_;
 
+    /** A watched uid's power series and its energy at the last sample. */
+    struct Watched {
+        sim::TimeSeries series;
+        double lastMj = 0.0;
+    };
+
     sim::TimeSeries total_;
     // leaselint: allow(flat-map-hotpath) -- touched once per sample tick
-    std::map<Uid, sim::TimeSeries> perUid_;
+    std::map<Uid, Watched> perUid_;
     double lastTotalMj_ = 0.0;
-    // leaselint: allow(flat-map-hotpath) -- touched once per sample tick
-    std::map<Uid, double> lastUidMj_;
 };
 
 } // namespace leaseos::power

@@ -1,6 +1,6 @@
 #include "power/radio_model.h"
 
-#include "power/checkpoint_io.h"
+#include "sim/checkpoint.h"
 
 #include <algorithm>
 #include <utility>
@@ -132,36 +132,32 @@ RadioModel::wifiActiveSeconds(Uid uid)
 }
 
 
+template <class Io>
 void
-RadioModel::saveState(sim::CheckpointWriter &w) const
+RadioModel::checkpoint(Io &io)
 {
-    w.beginSection("radio", 1);
-    ckpt::writeUids(w, wifiLockOwners_);
-    w.i64(wifiActive_);
-    ckpt::writeUids(w, wifiActiveUids_);
-    w.i64(cellActive_);
-    ckpt::writeUids(w, cellActiveUids_);
-    w.time(lastAdvance_);
-    ckpt::writeUidDoubleMap(w, wifiLockSeconds_);
-    ckpt::writeUidIntMap(w, wifiActiveCount_);
-    ckpt::writeUidDoubleMap(w, wifiActiveSeconds_);
-    w.endSection();
+    auto uid = [&](auto &u) { io.u32(u); };
+    auto uidSeconds = [&](auto &u, auto &seconds) {
+        io.u32(u);
+        io.f64(seconds);
+    };
+    io.beginSection("radio", 1);
+    io.seq(wifiLockOwners_, 4, uid);
+    io.i64(wifiActive_);
+    io.seq(wifiActiveUids_, 4, uid);
+    io.i64(cellActive_);
+    io.seq(cellActiveUids_, 4, uid);
+    io.time(lastAdvance_);
+    io.map(wifiLockSeconds_, 4 + 8, uidSeconds);
+    io.map(wifiActiveCount_, 4 + 8, [&](auto &u, auto &n) {
+        io.u32(u);
+        io.i64(n);
+    });
+    io.map(wifiActiveSeconds_, 4 + 8, uidSeconds);
+    io.endSection();
 }
 
-void
-RadioModel::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("radio", r.beginSection("radio"), 1);
-    wifiLockOwners_ = ckpt::readUids(r);
-    wifiActive_ = static_cast<int>(r.i64());
-    wifiActiveUids_ = ckpt::readUids(r);
-    cellActive_ = static_cast<int>(r.i64());
-    cellActiveUids_ = ckpt::readUids(r);
-    lastAdvance_ = r.time();
-    wifiLockSeconds_ = ckpt::readUidDoubleMap(r);
-    wifiActiveCount_ = ckpt::readUidIntMap(r);
-    wifiActiveSeconds_ = ckpt::readUidDoubleMap(r);
-    r.endSection();
-}
+template void RadioModel::checkpoint(sim::CheckpointSaver &);
+template void RadioModel::checkpoint(sim::CheckpointLoader &);
 
 } // namespace leaseos::power

@@ -53,9 +53,8 @@ class RadioModel : public PowerComponent
 
     sim::Time transferCell(Uid uid, std::uint64_t bytes);
 
-    /** Serialize radio state as a "radio" section (DESIGN.md §11). */
-    void saveState(sim::CheckpointWriter &w) const;
-    void restoreState(sim::CheckpointReader &r);
+    /** The "radio" section's field list (DESIGN.md §11). */
+    template <class Io> void checkpoint(Io &io);
 
   private:
     void advance();

@@ -1,27 +1,21 @@
 #include "power/screen_model.h"
 
-#include "power/checkpoint_io.h"
+#include "sim/checkpoint.h"
 
 namespace leaseos::power {
 
+template <class Io>
 void
-ScreenModel::saveState(sim::CheckpointWriter &w) const
+ScreenModel::checkpoint(Io &io)
 {
-    w.beginSection("screen", 1);
-    w.u8(on_ ? 1 : 0);
-    w.f64(brightness_);
-    ckpt::writeUids(w, owners_);
-    w.endSection();
+    io.beginSection("screen", 1);
+    io.u8(on_);
+    io.f64(brightness_);
+    io.seq(owners_, 4, [&](auto &uid) { io.u32(uid); });
+    io.endSection();
 }
 
-void
-ScreenModel::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("screen", r.beginSection("screen"), 1);
-    on_ = r.u8() != 0;
-    brightness_ = r.f64();
-    owners_ = ckpt::readUids(r);
-    r.endSection();
-}
+template void ScreenModel::checkpoint(sim::CheckpointSaver &);
+template void ScreenModel::checkpoint(sim::CheckpointLoader &);
 
 } // namespace leaseos::power

@@ -56,9 +56,8 @@ class ScreenModel : public PowerComponent
     bool isOn() const { return on_; }
     double brightness() const { return brightness_; }
 
-    /** Serialize panel state as a "screen" section (DESIGN.md §11). */
-    void saveState(sim::CheckpointWriter &w) const;
-    void restoreState(sim::CheckpointReader &r);
+    /** The "screen" section's field list (DESIGN.md §11). */
+    template <class Io> void checkpoint(Io &io);
 
   private:
     void

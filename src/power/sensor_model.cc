@@ -1,6 +1,6 @@
 #include "power/sensor_model.h"
 
-#include "power/checkpoint_io.h"
+#include "sim/checkpoint.h"
 
 #include <algorithm>
 
@@ -112,33 +112,20 @@ SensorModel::users(SensorType type) const
 }
 
 
+template <class Io>
 void
-SensorModel::saveState(sim::CheckpointWriter &w) const
+SensorModel::checkpoint(Io &io)
 {
-    w.beginSection("sensors", 1);
-    for (const UserList &users : uses_) {
-        w.u64(users.size());
-        for (std::size_t i = 0; i < users.size(); ++i) {
-            w.u32(static_cast<std::uint32_t>(users[i].first));
-            w.i64(users[i].second);
-        }
-    }
-    w.endSection();
+    io.beginSection("sensors", 1);
+    for (UserList &users : uses_)
+        io.seq(users, 4 + 8, [&](auto &user) {
+            io.u32(user.first);
+            io.i64(user.second);
+        });
+    io.endSection();
 }
 
-void
-SensorModel::restoreState(sim::CheckpointReader &r)
-{
-    sim::requireSectionVersion("sensors", r.beginSection("sensors"), 1);
-    for (UserList &users : uses_) {
-        users.clear();
-        std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            Uid uid = static_cast<Uid>(r.u32());
-            users.push_back({uid, static_cast<int>(r.i64())});
-        }
-    }
-    r.endSection();
-}
+template void SensorModel::checkpoint(sim::CheckpointSaver &);
+template void SensorModel::checkpoint(sim::CheckpointLoader &);
 
 } // namespace leaseos::power

@@ -45,9 +45,8 @@ class SensorModel : public PowerComponent
     /** Power draw of one sensor type from the device profile. */
     double sensorMw(SensorType type) const;
 
-    /** Serialize registrations as a "sensors" section (DESIGN.md §11). */
-    void saveState(sim::CheckpointWriter &w) const;
-    void restoreState(sim::CheckpointReader &r);
+    /** The "sensors" section's field list (DESIGN.md §11). */
+    template <class Io> void checkpoint(Io &io);
 
   private:
     /** Registered (uid, count) pairs kept sorted by uid. */

@@ -16,12 +16,15 @@
  *    blob bytes, cheap to compare or checksum across job counts);
  *  - offline triage: tools/tracereplay decodes a blob and re-drives a
  *    slice's validation from it without replaying the whole prefix;
- *  - component restore: every component with saveState() has a
- *    restoreState() that reloads the state onto a freshly-built peer and
- *    re-arms its own timers, so save→restore→run matches run-through
- *    (see the §11 resume contract for what is and isn't captured —
- *    pending closure callbacks are NOT serialized; components re-arm
- *    from recomputable deadlines instead).
+ *  - component restore: every stateful component describes its section
+ *    once, as a `template <class Io> void checkpoint(Io &)` field list
+ *    that runs over a CheckpointSaver to save and over a
+ *    CheckpointLoader to reload the state onto a freshly-built peer;
+ *    after the list, the load direction alone re-arms the component's
+ *    timers, so save→restore→run matches run-through (see the §11
+ *    resume contract for what is and isn't captured — pending closure
+ *    callbacks are NOT serialized; components re-arm from recomputable
+ *    deadlines instead).
  *
  * Wire format (all integers little-endian, which is also the only host
  * byte order this build accepts — see the static_assert below):
@@ -41,11 +44,17 @@
  */
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
+#include <locale>
+#include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/time.h"
@@ -246,10 +255,10 @@ class CheckpointReader
 };
 
 /**
- * Version gate for component restoreState(): throws CheckpointError when
- * @p found is not @p supported. Kept trivial on purpose — components bump
- * their section version on layout changes, and old readers must refuse
- * rather than misparse.
+ * Version gate for CheckpointLoader::beginSection(): throws
+ * CheckpointError when @p found is not @p supported. Kept trivial on
+ * purpose — components bump their section version on layout changes, and
+ * old readers must refuse rather than misparse.
  */
 inline void
 requireSectionVersion(std::string_view name, std::uint32_t found,
@@ -260,6 +269,299 @@ requireSectionVersion(std::string_view name, std::uint32_t found,
                               "' has version " + std::to_string(found) +
                               "; this build restores version " +
                               std::to_string(supported));
+}
+
+// ---- Field-list codec ----------------------------------------------------
+//
+// A component's section layout is one member template,
+//
+//     template <class Io> void checkpoint(Io &io);
+//
+// whose body lists every field once, in wire order. Run over a
+// CheckpointSaver it appends the fields to a blob; run over a
+// CheckpointLoader it reads them back into the same members. Both
+// classes have the same member calls, so the list cannot drift between
+// directions; dispatch is static (no virtual call or std::function per
+// field). Work only one direction needs — re-arming timers, refusing a
+// non-quiescent blob — follows the list under `if constexpr
+// (Io::kLoading)`.
+//
+// Scalars name their wire type: u8/u32/u64/i64 take any integral, enum
+// or bool member and cast it (a bool travels as u8; a Uid as u32 and an
+// int as i64, though both are int in C++), f64/time/str take their own
+// types. seq() and map() carry a u64 element count and then each
+// element through a callback; the loader sizes every container through
+// CheckpointReader::count(), so a corrupt count throws CheckpointError
+// before anything is allocated. expect() writes a value the loading
+// device must already have (configuration, not state) and refuses a
+// blob whose value differs.
+
+/** A member that travels as a fixed-width integer. */
+template <class T>
+concept CheckpointInt = std::is_integral_v<T> || std::is_enum_v<T>;
+
+/** A value expect() can compare: an unsigned wire integer, Time, string. */
+template <class T>
+concept CheckpointExpectable =
+    std::same_as<T, std::uint8_t> || std::same_as<T, std::uint32_t> ||
+    std::same_as<T, std::uint64_t> || std::same_as<T, Time> ||
+    std::same_as<T, std::string>;
+
+/** Saving half of the field-list codec: appends to a CheckpointWriter. */
+class CheckpointSaver
+{
+  public:
+    static constexpr bool kLoading = false;
+
+    explicit CheckpointSaver(CheckpointWriter &w) : w_(w) {}
+
+    void
+    beginSection(std::string_view name, std::uint32_t version)
+    {
+        w_.beginSection(name, version);
+    }
+    void endSection() { w_.endSection(); }
+
+    template <CheckpointInt T>
+    void u8(const T &v) { w_.u8(static_cast<std::uint8_t>(v)); }
+    template <CheckpointInt T>
+    void u32(const T &v) { w_.u32(static_cast<std::uint32_t>(v)); }
+    template <CheckpointInt T>
+    void u64(const T &v) { w_.u64(static_cast<std::uint64_t>(v)); }
+    template <CheckpointInt T>
+    void i64(const T &v) { w_.i64(static_cast<std::int64_t>(v)); }
+    void f64(const double &v) { w_.f64(v); }
+    void time(const Time &t) { w_.time(t); }
+    void str(const std::string &s) { w_.str(s); }
+
+    /**
+     * A value in its standard stream text form under the classic
+     * locale, as a str (std::mt19937_64 guarantees a full-state text).
+     */
+    template <class T>
+    void
+    text(const T &v)
+    {
+        std::ostringstream os;
+        os.imbue(std::locale::classic());
+        os << v;
+        w_.str(os.str());
+    }
+
+    /**
+     * Element count for parallel containers the caller sizes and walks
+     * itself; @p elemBytes is the wire size of one element.
+     */
+    void count(const std::uint64_t &n, std::size_t) { w_.u64(n); }
+
+    /**
+     * u64 count, then @p fn(element) per element. @p elemBytes is the
+     * smallest wire size of one element (the loader's count() bound).
+     */
+    template <class C, class F>
+    void
+    seq(C &c, std::size_t, F &&fn)
+    {
+        w_.u64(c.size());
+        for (auto &e : c) fn(e);
+    }
+
+    /** u64 count, then @p fn(key, value) per entry, in key order. */
+    template <class M, class F>
+    void
+    map(M &m, std::size_t, F &&fn)
+    {
+        w_.u64(m.size());
+        for (auto &[k, v] : m) fn(k, v);
+    }
+
+    /**
+     * u64 count, then the elements' memory as-is in one copy. Only for
+     * element types whose layout is their wire encoding (double, or a
+     * type guarded by static_asserts as TimeSeries::Point is).
+     */
+    template <class T>
+    void
+    block(const std::vector<T> &v)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        w_.u64(v.size());
+        w_.bytes(v.data(), v.size() * sizeof(T));
+    }
+
+    /** Write @p device, which a loading device must match. */
+    template <CheckpointExpectable T>
+    void
+    expect(std::string_view, const T &device)
+    {
+        if constexpr (std::same_as<T, std::uint8_t>) w_.u8(device);
+        else if constexpr (std::same_as<T, std::uint32_t>) w_.u32(device);
+        else if constexpr (std::same_as<T, std::uint64_t>) w_.u64(device);
+        else if constexpr (std::same_as<T, Time>) w_.time(device);
+        else w_.str(device);
+    }
+
+  private:
+    CheckpointWriter &w_;
+};
+
+/** Loading half of the field-list codec: reads from a CheckpointReader. */
+class CheckpointLoader
+{
+  public:
+    static constexpr bool kLoading = true;
+
+    explicit CheckpointLoader(CheckpointReader &r) : r_(r) {}
+
+    /** Open section @p name, refusing any version but @p version. */
+    void
+    beginSection(std::string_view name, std::uint32_t version)
+    {
+        requireSectionVersion(name, r_.beginSection(name), version);
+        section_ = name;
+    }
+    void endSection() { r_.endSection(); }
+
+    template <CheckpointInt T>
+    void u8(T &v) { v = static_cast<T>(r_.u8()); }
+    template <CheckpointInt T>
+    void u32(T &v) { v = static_cast<T>(r_.u32()); }
+    template <CheckpointInt T>
+    void u64(T &v) { v = static_cast<T>(r_.u64()); }
+    template <CheckpointInt T>
+    void i64(T &v) { v = static_cast<T>(r_.i64()); }
+    void f64(double &v) { v = r_.f64(); }
+    void time(Time &t) { t = r_.time(); }
+    void str(std::string &s) { s = r_.str(); }
+
+    template <class T>
+    void
+    text(T &v)
+    {
+        std::istringstream is(r_.str());
+        is.imbue(std::locale::classic());
+        is >> v;
+        if (is.fail())
+            throw CheckpointError("section '" + std::string(section_) +
+                                  "' holds text that does not decode");
+    }
+
+    void count(std::uint64_t &n, std::size_t elemBytes)
+    {
+        n = r_.count(elemBytes);
+    }
+
+    template <class C, class F>
+    void
+    seq(C &c, std::size_t elemBytes, F &&fn)
+    {
+        std::uint64_t n = r_.count(elemBytes);
+        c.clear();
+        if constexpr (requires { c.reserve(n); }) c.reserve(n);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            std::remove_cvref_t<decltype(*c.begin())> e{};
+            fn(e);
+            if constexpr (requires { c.push_back(std::move(e)); })
+                c.push_back(std::move(e));
+            else
+                c.insert(std::move(e));
+        }
+    }
+
+    template <class M, class F>
+    void
+    map(M &m, std::size_t elemBytes, F &&fn)
+    {
+        std::uint64_t n = r_.count(elemBytes);
+        m.clear();
+        for (std::uint64_t i = 0; i < n; ++i) {
+            typename M::key_type k{};
+            auto v = freshValue(
+                static_cast<typename M::mapped_type *>(nullptr));
+            fn(k, v);
+            m.insert_or_assign(std::move(k), std::move(v));
+        }
+    }
+
+    template <class T>
+    void
+    block(std::vector<T> &v)
+    {
+        static_assert(std::is_trivially_copyable_v<T>);
+        std::uint64_t n = r_.count(sizeof(T));
+        v.resize(n);
+        r_.bytes(v.data(), n * sizeof(T));
+    }
+
+    /**
+     * Read the blob's value and refuse the blob (CheckpointError naming
+     * the section, the field and both values) unless it equals @p device.
+     */
+    template <CheckpointExpectable T>
+    void
+    expect(std::string_view field, const T &device)
+    {
+        T blob{};
+        if constexpr (std::same_as<T, std::uint8_t>) blob = r_.u8();
+        else if constexpr (std::same_as<T, std::uint32_t>) blob = r_.u32();
+        else if constexpr (std::same_as<T, std::uint64_t>) blob = r_.u64();
+        else if constexpr (std::same_as<T, Time>) blob = r_.time();
+        else blob = r_.str();
+        if (!(blob == device))
+            throw CheckpointError("section '" + std::string(section_) +
+                                  "' field '" + std::string(field) +
+                                  "': blob has " + show(blob) +
+                                  ", this device has " + show(device));
+    }
+
+  private:
+    /** A map value ready to load into; owned objects are allocated. */
+    template <class V>
+    static V
+    freshValue(V *)
+    {
+        return V{};
+    }
+    template <class T>
+    static std::unique_ptr<T>
+    freshValue(std::unique_ptr<T> *)
+    {
+        return std::make_unique<T>();
+    }
+
+    template <class T>
+    static std::string
+    show(const T &v)
+    {
+        if constexpr (std::same_as<T, Time>) return v.toString();
+        else if constexpr (std::same_as<T, std::string>) return "'" + v + "'";
+        else return std::to_string(v);
+    }
+
+    CheckpointReader &r_;
+    std::string_view section_; ///< open section (a string literal)
+};
+
+/**
+ * Save @p c's section(s) by running its field list over a saver. The
+ * list takes its component by non-const reference so that one function
+ * serves both directions; the saver only reads through it.
+ */
+template <class T>
+void
+saveState(CheckpointWriter &w, const T &c)
+{
+    CheckpointSaver io(w);
+    const_cast<T &>(c).checkpoint(io);
+}
+
+/** Restore @p c's section(s) by running its field list over a loader. */
+template <class T>
+void
+restoreState(CheckpointReader &r, T &c)
+{
+    CheckpointLoader io(r);
+    c.checkpoint(io);
 }
 
 /** Write @p blob to @p path (binary). @retval false on I/O failure. */

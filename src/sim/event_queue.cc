@@ -3,7 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "sim/checkpoint.h"
 
 namespace leaseos::sim {
 
@@ -21,21 +20,6 @@ EventQueue::~EventQueue()
         --liveCount_;
         Callback dying = std::move(slot.cb);
     }
-}
-
-void
-EventQueue::saveState(CheckpointWriter &) const
-{
-    // Nothing: see the header for why nextSeq_ must stay off the wire.
-}
-
-void
-EventQueue::restoreState(CheckpointReader &)
-{
-    if (liveCount_ != 0)
-        throw CheckpointError(
-            "EventQueue::restoreState on a non-empty queue (" +
-            std::to_string(liveCount_) + " live events)");
 }
 
 EventId

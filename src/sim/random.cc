@@ -1,36 +1,19 @@
 #include "sim/random.h"
 
-#include <locale>
-#include <sstream>
-
 #include "sim/checkpoint.h"
 
 namespace leaseos::sim {
 
+template <class Io>
 void
-RandomSource::saveState(CheckpointWriter &w) const
+RandomSource::checkpoint(Io &io)
 {
-    // The standard guarantees operator<< writes the engine's full state
-    // as decimal integers; pinning the classic locale makes the text (and
-    // with it the blob bytes) identical on every host.
-    std::ostringstream os;
-    os.imbue(std::locale::classic());
-    os << rng_;
-    w.beginSection("rng", 1);
-    w.str(os.str());
-    w.endSection();
+    io.beginSection("rng", 1);
+    io.text(rng_);
+    io.endSection();
 }
 
-void
-RandomSource::restoreState(CheckpointReader &r)
-{
-    requireSectionVersion("rng", r.beginSection("rng"), 1);
-    std::istringstream is(r.str());
-    is.imbue(std::locale::classic());
-    is >> rng_;
-    r.endSection();
-    if (is.fail())
-        throw CheckpointError("rng section does not decode as mt19937_64");
-}
+template void RandomSource::checkpoint(CheckpointSaver &);
+template void RandomSource::checkpoint(CheckpointLoader &);
 
 } // namespace leaseos::sim

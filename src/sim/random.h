@@ -23,9 +23,6 @@
 
 namespace leaseos::sim {
 
-class CheckpointWriter;
-class CheckpointReader;
-
 /**
  * Seeded pseudo-random generator with simulation-friendly helpers.
  */
@@ -86,14 +83,11 @@ class RandomSource
     std::mt19937_64 &engine() { return rng_; }
 
     /**
-     * Serialize the engine's exact position in its stream as an "rng"
-     * section (DESIGN.md §11), via the standard mt19937_64 stream
+     * The "rng" section's field list (DESIGN.md §11): the engine's exact
+     * position in its stream, via the standard mt19937_64 stream
      * representation under the classic locale.
      */
-    void saveState(CheckpointWriter &w) const;
-
-    /** Restore a stream position saved by saveState(). */
-    void restoreState(CheckpointReader &r);
+    template <class Io> void checkpoint(Io &io);
 
   private:
     std::mt19937_64 rng_;

@@ -8,25 +8,25 @@
 
 namespace leaseos::sim {
 
+template <class Io>
 void
-Simulator::saveState(CheckpointWriter &w) const
+Simulator::checkpoint(Io &io)
 {
-    w.beginSection("sim", 1);
-    w.time(now_);
-    w.u64(executed_);
-    queue_.saveState(w);
-    w.endSection();
+    io.beginSection("sim", 1);
+    io.time(now_);
+    io.u64(executed_);
+    io.endSection();
+    if constexpr (Io::kLoading) {
+        if (queue_.size() != 0)
+            throw CheckpointError("sim restore onto a non-empty event "
+                                  "queue (" +
+                                  std::to_string(queue_.size()) +
+                                  " live events)");
+    }
 }
 
-void
-Simulator::restoreState(CheckpointReader &r)
-{
-    requireSectionVersion("sim", r.beginSection("sim"), 1);
-    now_ = r.time();
-    executed_ = r.u64();
-    queue_.restoreState(r);
-    r.endSection();
-}
+template void Simulator::checkpoint(CheckpointSaver &);
+template void Simulator::checkpoint(CheckpointLoader &);
 
 void
 PeriodicHandle::cancel()

@@ -160,18 +160,24 @@ class Simulator
     std::uint64_t executedEvents() const { return executed_; }
 
     /**
-     * Serialize the clock and event counters as a "sim" section
-     * (DESIGN.md §11). Pending events are deliberately not captured —
-     * see EventQueue::saveState.
+     * The "sim" section's field list (DESIGN.md §11): the clock and the
+     * executed-event count. Restoring requires a fresh simulator (empty
+     * queue, else CheckpointError); afterwards now() reports the
+     * checkpoint time and newly scheduled events run at their absolute
+     * deadlines.
+     *
+     * Pending callbacks are closures and are NOT serialized: checkpoints
+     * are taken at boundaries where every due event has fired, and
+     * restored components re-arm their own timers from recomputable
+     * deadlines. The queue's sequence tie-break counter is runtime
+     * bookkeeping, deliberately excluded: re-arms consume fresh sequence
+     * numbers, yet ordering is preserved because every re-armed event —
+     * like every pre-save pending event — carries a smaller sequence than
+     * anything scheduled afterwards. Serializing it would make a restored
+     * run's later blobs differ from the original's by exactly the number
+     * of re-armed events.
      */
-    void saveState(CheckpointWriter &w) const;
-
-    /**
-     * Restore the clock onto a fresh simulator (empty queue required).
-     * After this, now() reports the checkpoint time and newly scheduled
-     * events run at their absolute deadlines.
-     */
-    void restoreState(CheckpointReader &r);
+    template <class Io> void checkpoint(Io &io);
 
   private:
     EventQueue queue_;

@@ -46,27 +46,20 @@ Accumulator::reset()
     mean_ = m2_ = sum_ = min_ = max_ = 0.0;
 }
 
+template <class Io>
 void
-Accumulator::saveState(CheckpointWriter &w) const
+Accumulator::checkpoint(Io &io)
 {
-    w.u64(n_);
-    w.f64(mean_);
-    w.f64(m2_);
-    w.f64(sum_);
-    w.f64(min_);
-    w.f64(max_);
+    io.u64(n_);
+    io.f64(mean_);
+    io.f64(m2_);
+    io.f64(sum_);
+    io.f64(min_);
+    io.f64(max_);
 }
 
-void
-Accumulator::restoreState(CheckpointReader &r)
-{
-    n_ = r.u64();
-    mean_ = r.f64();
-    m2_ = r.f64();
-    sum_ = r.f64();
-    min_ = r.f64();
-    max_ = r.f64();
-}
+template void Accumulator::checkpoint(CheckpointSaver &);
+template void Accumulator::checkpoint(CheckpointLoader &);
 
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi),

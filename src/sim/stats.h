@@ -16,9 +16,6 @@
 
 namespace leaseos::sim {
 
-class CheckpointWriter;
-class CheckpointReader;
-
 /**
  * Monotonic counter with checkpoint support.
  *
@@ -65,9 +62,8 @@ class Accumulator
 
     void reset();
 
-    /** Raw-field serialization (embedded in the owner's section). */
-    void saveState(CheckpointWriter &w) const;
-    void restoreState(CheckpointReader &r);
+    /** Field list, embedded in the owner's section (DESIGN.md §11). */
+    template <class Io> void checkpoint(Io &io);
 
   private:
     std::uint64_t n_ = 0;

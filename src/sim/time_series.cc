@@ -26,20 +26,15 @@ static_assert(offsetof(TimeSeries::Point, t) == 0 &&
                   offsetof(TimeSeries::Point, value) == 8,
               "TimeSeries::Point must be laid out as (Time, double)");
 
+template <class Io>
 void
-TimeSeries::saveState(CheckpointWriter &w) const
+TimeSeries::checkpoint(Io &io)
 {
-    w.u64(points_.size());
-    w.bytes(points_.data(), points_.size() * sizeof(Point));
+    io.block(points_);
 }
 
-void
-TimeSeries::restoreState(CheckpointReader &r)
-{
-    std::uint64_t n = r.count(sizeof(Point));
-    points_.resize(n);
-    r.bytes(points_.data(), n * sizeof(Point));
-}
+template void TimeSeries::checkpoint(CheckpointSaver &);
+template void TimeSeries::checkpoint(CheckpointLoader &);
 
 double
 TimeSeries::sum() const

@@ -19,9 +19,6 @@
 
 namespace leaseos::sim {
 
-class CheckpointWriter;
-class CheckpointReader;
-
 /**
  * Ordered sequence of (timestamp, value) samples.
  */
@@ -53,9 +50,11 @@ class TimeSeries
     /** CSV rendering: "t_seconds,value" lines. */
     std::string toCsv() const;
 
-    /** Raw-point serialization (embedded in the owner's section). */
-    void saveState(CheckpointWriter &w) const;
-    void restoreState(CheckpointReader &r);
+    /**
+     * Field list, embedded in the owner's section (DESIGN.md §11): the
+     * points travel as one block copy.
+     */
+    template <class Io> void checkpoint(Io &io);
 
   private:
     std::string name_;

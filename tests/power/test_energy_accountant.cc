@@ -9,7 +9,8 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "power/checkpoint_io.h"
+#include "power/cpu_model.h"
+#include "power/device_profile.h"
 #include "power/energy_accountant.h"
 #include "sim/checkpoint.h"
 #include "sim/simulator.h"
@@ -177,7 +178,7 @@ TEST(EnergyAccountantTest, AbsurdCountsInBlobThrowCheckpointError)
     sim.runFor(10_s);
     acc.sync();
     sim::CheckpointWriter w;
-    acc.saveState(w);
+    sim::saveState(w, acc);
     const std::vector<std::uint8_t> blob = w.finish();
 
     // Header (32) | u32 nameLen | "energy" | u32 version | u64 bodyLen
@@ -194,7 +195,7 @@ TEST(EnergyAccountantTest, AbsurdCountsInBlobThrowCheckpointError)
             EnergyAccountant fresh(sim2);
             fresh.makeChannel("cpu");
             sim::CheckpointReader r(bad);
-            EXPECT_THROW(fresh.restoreState(r), sim::CheckpointError);
+            EXPECT_THROW(sim::restoreState(r, fresh), sim::CheckpointError);
         }
 
     // The untouched blob still restores (the offsets above are right).
@@ -202,15 +203,35 @@ TEST(EnergyAccountantTest, AbsurdCountsInBlobThrowCheckpointError)
     EnergyAccountant fresh(sim3);
     fresh.makeChannel("cpu");
     sim::CheckpointReader r(blob);
-    fresh.restoreState(r);
+    sim::restoreState(r, fresh);
     EXPECT_DOUBLE_EQ(fresh.uidEnergyMj(kAppA), 1000.0);
+}
+
+/** Reads or writes a uid list the way the power models do. */
+template <class Io>
+void
+uidList(Io &io, std::vector<Uid> &uids)
+{
+    io.seq(uids, 4, [&](auto &uid) { io.u32(uid); });
+}
+
+/** Loads a uid list from @p r. */
+std::vector<Uid>
+readUids(sim::CheckpointReader &r)
+{
+    std::vector<Uid> uids;
+    sim::CheckpointLoader io(r);
+    uidList(io, uids);
+    return uids;
 }
 
 TEST(CheckpointIoTest, AbsurdUidCountThrowsCheckpointError)
 {
     sim::CheckpointWriter w;
     w.beginSection("owners", 1);
-    ckpt::writeUids(w, {kAppA, kAppB});
+    std::vector<Uid> uids = {kAppA, kAppB};
+    sim::CheckpointSaver saver(w);
+    uidList(saver, uids);
     w.endSection();
     const std::vector<std::uint8_t> blob = w.finish();
 
@@ -218,7 +239,7 @@ TEST(CheckpointIoTest, AbsurdUidCountThrowsCheckpointError)
     {
         sim::CheckpointReader r(blob);
         r.beginSection("owners");
-        EXPECT_EQ(ckpt::readUids(r), (std::vector<Uid>{kAppA, kAppB}));
+        EXPECT_EQ(readUids(r), (std::vector<Uid>{kAppA, kAppB}));
         r.endSection();
     }
     for (std::uint64_t n : {std::uint64_t{3}, std::uint64_t{1} << 61,
@@ -228,8 +249,48 @@ TEST(CheckpointIoTest, AbsurdUidCountThrowsCheckpointError)
         patchCount(bad, countAt, n);
         sim::CheckpointReader r(bad);
         r.beginSection("owners");
-        EXPECT_THROW(ckpt::readUids(r), sim::CheckpointError);
+        EXPECT_THROW(readUids(r), sim::CheckpointError);
     }
+}
+
+TEST(CheckpointIoTest, AbsurdCpuLevelCountThrowsCheckpointError)
+{
+    sim::Simulator sim;
+    EnergyAccountant acc(sim);
+    DeviceProfile profile = profiles::pixelXl();
+    CpuModel cpu(sim, acc, profile);
+    cpu.setScreenOn(true);
+    cpu.setDvfsEnabled(true);
+    sim.runFor(10_s);
+    sim::CheckpointWriter w;
+    sim::saveState(w, cpu);
+    const std::vector<std::uint8_t> blob = w.finish();
+
+    // Header (32) | u32 nameLen | "cpu" | u32 version | u64 bodyLen
+    // | u64 0 wakelock owners | u64 0 audio owners | u8 screenOn
+    // | i64 wakeWindows | u8 awake | u64 0 tasks | u64 nextToken
+    // | u64 wakeWaiters | u8 dvfsEnabled | u64 dvfsLevel | u64 levels ...
+    const std::size_t levelsAt =
+        32 + 4 + 3 + 4 + 8 + 8 + 8 + 1 + 8 + 1 + 8 + 8 + 8 + 1 + 8;
+    for (std::uint64_t n : {std::uint64_t{1} << 61, ~std::uint64_t{0}}) {
+        SCOPED_TRACE(n);
+        std::vector<std::uint8_t> bad = blob;
+        patchCount(bad, levelsAt, n);
+        sim::Simulator sim2;
+        EnergyAccountant acc2(sim2);
+        CpuModel fresh(sim2, acc2, profile);
+        sim::CheckpointReader r(bad);
+        EXPECT_THROW(sim::restoreState(r, fresh), sim::CheckpointError);
+    }
+
+    // The untouched blob still restores (the offset above is right).
+    sim::Simulator sim3;
+    EnergyAccountant acc3(sim3);
+    CpuModel fresh(sim3, acc3, profile);
+    sim::CheckpointReader r(blob);
+    sim::restoreState(r, fresh);
+    EXPECT_EQ(fresh.dvfsLevel(), cpu.dvfsLevel());
+    EXPECT_TRUE(fresh.dvfsEnabled());
 }
 
 } // namespace

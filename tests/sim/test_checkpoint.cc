@@ -285,18 +285,48 @@ TEST(CheckpointWireTest, VersionGateRefusesUnknownVersions)
     EXPECT_THROW(requireSectionVersion("cpu", 0, 1), CheckpointError);
 }
 
+TEST(CheckpointCodecTest, ExpectRefusesAMismatchNamingBothValues)
+{
+    CheckpointWriter w;
+    CheckpointSaver saver(w);
+    saver.beginSection("meta", 1);
+    saver.expect("apps", std::uint64_t{2});
+    saver.expect("profile", std::string("Pixel XL"));
+    saver.endSection();
+    std::vector<std::uint8_t> blob = w.finish();
+
+    CheckpointReader same(blob);
+    CheckpointLoader match(same);
+    match.beginSection("meta", 1);
+    match.expect("apps", std::uint64_t{2});
+    match.expect("profile", std::string("Pixel XL"));
+    match.endSection();
+
+    CheckpointReader r(blob);
+    CheckpointLoader loader(r);
+    loader.beginSection("meta", 1);
+    try {
+        loader.expect("apps", std::uint64_t{3});
+        FAIL() << "expected CheckpointError";
+    } catch (const CheckpointError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "section 'meta' field 'apps': blob has 2, this device "
+                  "has 3");
+    }
+}
+
 TEST(CheckpointComponentTest, RandomSourceResumesExactStream)
 {
     RandomSource original(0xfeedULL);
     for (int i = 0; i < 1000; ++i) original.uniform();
 
     CheckpointWriter w;
-    original.saveState(w);
+    saveState(w, original);
     std::vector<std::uint8_t> blob = w.finish();
 
     RandomSource restored(0x0); // wrong seed on purpose
     CheckpointReader r(blob);
-    restored.restoreState(r);
+    restoreState(r, restored);
 
     // Identical draws across every helper after the restore point.
     for (int i = 0; i < 200; ++i) {
@@ -320,12 +350,12 @@ TEST(CheckpointComponentTest, SimulatorClockAndCountersRoundTrip)
     ASSERT_EQ(fired, 3);
 
     CheckpointWriter w;
-    sim.saveState(w);
+    saveState(w, sim);
     std::vector<std::uint8_t> blob = w.finish();
 
     Simulator fresh;
     CheckpointReader r(blob);
-    fresh.restoreState(r);
+    restoreState(r, fresh);
     EXPECT_EQ(fresh.now(), Time::fromSeconds(3.5));
     EXPECT_EQ(fresh.executedEvents(), sim.executedEvents());
 
@@ -376,7 +406,7 @@ TEST(CheckpointWireTest, BulkSeriesEqualsFieldByFieldEncoding)
 
         CheckpointWriter bulk;
         bulk.beginSection("series", 1);
-        series.saveState(bulk);
+        saveState(bulk, series);
         bulk.endSection();
         std::vector<std::uint8_t> bulkBlob = bulk.finish();
 
@@ -405,7 +435,7 @@ TEST(CheckpointWireTest, BulkSeriesEqualsFieldByFieldEncoding)
         restored.record(Time::fromNanos(5), 5.0); // replaced by restore
         CheckpointReader r(bulkBlob);
         r.beginSection("series");
-        restored.restoreState(r);
+        restoreState(r, restored);
         r.endSection();
         ASSERT_EQ(restored.size(), n);
         for (std::size_t i = 0; i < n; ++i) {
@@ -564,7 +594,7 @@ TEST(CheckpointWireTest, AbsurdSeriesCountThrowsBeforeAllocating)
 {
     CheckpointWriter w;
     w.beginSection("series", 1);
-    awkwardSeries(3).saveState(w);
+    saveState(w, awkwardSeries(3));
     w.endSection();
     std::vector<std::uint8_t> blob = w.finish();
 
@@ -579,7 +609,7 @@ TEST(CheckpointWireTest, AbsurdSeriesCountThrowsBeforeAllocating)
         CheckpointReader r(bad);
         r.beginSection("series");
         TimeSeries restored;
-        EXPECT_THROW(restored.restoreState(r), CheckpointError);
+        EXPECT_THROW(restoreState(r, restored), CheckpointError);
     }
 }
 

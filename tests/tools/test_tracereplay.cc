@@ -20,6 +20,8 @@
 #include "apps/registry.h"
 #include "harness/experiment.h"
 #include "harness/runner.h"
+#include "lease/lease_table.h"
+#include "sim/checkpoint.h"
 #include "support/minijson.h"
 #include "tracereplay/checkpoint_view.h"
 #include "tracereplay/replay.h"
@@ -432,6 +434,45 @@ TEST(CheckpointViewTest, ChecksFlagCorruptedLeaseTables)
     EXPECT_EQ(checks,
               (std::vector<std::string>{"term-deadline", "lease-state",
                                         "token-index", "token-index"}));
+}
+
+TEST(CheckpointViewTest, DecodesLeasesThroughTheTableCodec)
+{
+    // The view reads the lease table with LeaseTable's own field list;
+    // a corrupt state byte must still reach checkCheckpoint as-is.
+    lease::LeaseTable table;
+    lease::Lease &bogus =
+        table.create(lease::ResourceType::Wakelock, 0x11, kFirstAppUid);
+    bogus.state = static_cast<lease::LeaseState>(9);
+    bogus.renewals = 4;
+    bogus.history.push_back({});
+    table.create(lease::ResourceType::Gps, 0x22, kFirstAppUid + 1).state =
+        lease::LeaseState::Inactive;
+    sim::CheckpointWriter w;
+    w.beginSection("leases", 1);
+    sim::saveState(w, table);
+    w.endSection();
+    ScratchDir dir("leaseos_replay_ckpt_codec");
+    std::string path = (dir.path / "leases.ckpt").string();
+    ASSERT_TRUE(sim::writeCheckpointFile(path, w.finish()));
+
+    CheckpointView view = loadCheckpointView(path);
+    ASSERT_TRUE(view.ok()) << view.error;
+    EXPECT_EQ(view.nextLeaseId, 3u);
+    ASSERT_EQ(view.leases.size(), 2u);
+    EXPECT_EQ(view.leases[0].id, 1u);
+    EXPECT_EQ(view.leases[0].state, 9);
+    EXPECT_EQ(view.leases[0].renewals, 4u);
+    EXPECT_EQ(view.leases[0].historyLen, 1u);
+    EXPECT_EQ(view.leases[1].uid, kFirstAppUid + 1);
+    EXPECT_EQ(view.leases[1].rtype,
+              static_cast<std::uint8_t>(lease::ResourceType::Gps));
+    EXPECT_EQ(view.byToken,
+              (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+                  {0x11, 1}, {0x22, 2}}));
+    std::vector<CheckpointIssue> issues = checkCheckpoint(view);
+    ASSERT_EQ(issues.size(), 1u);
+    EXPECT_EQ(issues[0].check, "lease-state");
 }
 
 TEST(CheckpointViewTest, BaselineSeedsValidateWithoutInference)

@@ -3,30 +3,12 @@
 #include <map>
 #include <sstream>
 
+#include "lease/lease_table.h"
 #include "sim/checkpoint.h"
 
 namespace leaseos::tracereplay {
 
 namespace {
-
-/** Consume one serialized LeaseStat (layout of lease_table.cc). */
-void
-skipStat(sim::CheckpointReader &r)
-{
-    r.time(); // termStart
-    r.time(); // termEnd
-    r.f64();  // requestSeconds
-    r.f64();  // failedRequestSeconds
-    r.f64();  // holdingSeconds
-    r.f64();  // usageSeconds
-    r.f64();  // utilityScore
-    r.u64();  // exceptions
-    r.u64();  // uiUpdates
-    r.u64();  // interactions
-    r.f64();  // distanceMeters
-    r.u64();  // acquires
-    r.u8();   // heldAtTermEnd
-}
 
 void
 decodeMeta(sim::CheckpointReader &r, CheckpointView &view)
@@ -57,40 +39,31 @@ decodeEnergy(sim::CheckpointReader &r, CheckpointView &view)
 void
 decodeLeases(sim::CheckpointReader &r, CheckpointView &view)
 {
+    // The table's own field list decodes it, so the viewer cannot drift
+    // from the writer. Enum fields keep their raw values (a corrupt
+    // state byte stays out of range for checkCheckpoint to flag).
+    lease::LeaseTable table;
+    sim::restoreState(r, table);
     view.hasLeases = true;
-    view.nextLeaseId = r.u64();
-    std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        CkptLease lease;
-        lease.id = r.u64();
-        lease.uid = static_cast<std::int32_t>(r.u32());
-        lease.rtype = r.u8();
-        lease.token = r.u64();
-        lease.state = r.u8();
-        r.time(); // createdAt
-        lease.termStartNs = r.time().nanos();
-        lease.termLengthNs = r.time().nanos();
-        lease.termIndex = r.i64();
-        r.i64(); // consecutiveNormal
-        r.i64(); // consecutiveMisbehaved
-        lease.renewals = r.u64();
-        lease.deferrals = r.u64();
-        lease.deferredAtNs = r.time().nanos();
-        r.f64(); // totalDeferralSeconds
-        std::uint64_t records = r.u64();
-        lease.historyLen = static_cast<std::size_t>(records);
-        for (std::uint64_t k = 0; k < records; ++k) {
-            skipStat(r);
-            r.u8(); // behavior
-        }
-        view.leases.push_back(lease);
+    view.nextLeaseId = table.totalCreated() + 1;
+    for (const lease::Lease *lease : table.all()) {
+        CkptLease row;
+        row.id = lease->id;
+        row.uid = lease->uid;
+        row.rtype = static_cast<std::uint8_t>(lease->rtype);
+        row.token = lease->token;
+        row.state = static_cast<std::uint8_t>(lease->state);
+        row.termIndex = lease->termIndex;
+        row.renewals = lease->renewals;
+        row.deferrals = lease->deferrals;
+        row.termStartNs = lease->termStart.nanos();
+        row.termLengthNs = lease->termLength.nanos();
+        row.deferredAtNs = lease->deferredAt.nanos();
+        row.historyLen = lease->history.size();
+        view.leases.push_back(row);
     }
-    std::uint64_t tokens = r.u64();
-    for (std::uint64_t i = 0; i < tokens; ++i) {
-        std::uint64_t token = r.u64();
-        std::uint64_t id = r.u64();
+    for (const auto &[token, id] : table.tokenIndex())
         view.byToken.emplace_back(token, id);
-    }
     // remainder (reputations + service counters) skipped by caller
 }
 
